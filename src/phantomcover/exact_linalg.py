@@ -1,14 +1,16 @@
-"""Exact integer matrix algebra: Smith normal form and modular solvers.
+"""Exact integer matrix algebra: Smith normal form, modular solvers and the
+Howell form of row spans over Z/n.
 
 Everything is carried out over arbitrary-precision Python ints; no floating
 point is used anywhere.  The Smith normal form pivot rule is deterministic
 (minimum absolute value, ties broken by lowest (row, col)) so decompositions
-are reproducible across runs.
+are reproducible across runs.  The Howell form keeps every entry in [0, n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -74,10 +76,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise InputError("hstack: row count mismatch")
@@ -110,15 +108,14 @@ class IntMatrix:
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
 
-    The inverses of U and V are tracked during reduction so callers get them
-    for free (lattice work needs them constantly).
+    The inverse of U is tracked during reduction so callers get it for free
+    (canonical quotients read their generator lifts off it).
     """
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
     u_inv: IntMatrix
-    v_inv: IntMatrix
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal()
@@ -171,7 +168,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     u = IntMatrix.identity(m).to_rows()
     uinv = IntMatrix.identity(m).to_rows()
     v = IntMatrix.identity(n).to_rows()
-    vinv = IntMatrix.identity(n).to_rows()
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -184,7 +180,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(dst, src, q):
         # row_dst += q * row_src; the inverse is a column op on uinv
@@ -200,9 +195,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             r[dst] += q * r[src]
         for r in v:
             r[dst] += q * r[src]
-        vrow, drow = vinv[src], vinv[dst]
-        for k in range(n):
-            vrow[k] -= q * drow[k]
 
     def row_gcd_transform(t, i, e11, e12, e21, e22):
         # rows (t, i) <- E * rows (t, i) with det(E) == 1
@@ -217,6 +209,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             x, y = r[t], r[i]
             r[t] = e22 * x - e21 * y
             r[i] = -e12 * x + e11 * y
+
     def col_gcd_transform(t, j, f11, f21, f12, f22):
         # cols (t, j) <- cols (t, j) * F, F = [[f11, f12], [f21, f22]], det 1
         for mat in (d, v):
@@ -224,12 +217,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 x, y = r[t], r[j]
                 r[t] = x * f11 + y * f21
                 r[j] = x * f12 + y * f22
-        # vinv <- F^-1 * vinv, F^-1 = [[f22, -f12], [-f21, f11]]
-        rt, rj = vinv[t], vinv[j]
-        for k in range(n):
-            x, y = rt[k], rj[k]
-            rt[k] = f22 * x - f12 * y
-            rj[k] = -f21 * x + f11 * y
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
@@ -298,7 +285,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         d=IntMatrix.from_rows(d, cols=n),
         v=IntMatrix.from_rows(v, cols=n),
         u_inv=IntMatrix.from_rows(uinv, cols=m),
-        v_inv=IntMatrix.from_rows(vinv, cols=n),
     )
 
 
@@ -306,11 +292,17 @@ def solve_z(a: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
     """One integer solution x of a @ x == b, or None if none exists."""
     if len(b) != a.rows:
         raise InputError("solve_z: right-hand side length mismatch")
-    s = smith_normal_form(a)
+    return solve_smith(smith_normal_form(a), b)
+
+
+def solve_smith(s: SmithDecomposition, b: Sequence[int]) -> Optional[list[int]]:
+    """One integer solution x of A @ x == b, or None, for the matrix A with
+    U @ A @ V == D: x = V @ w where D @ w == U @ b.  Reuses one factoring
+    for many right-hand sides."""
     c = s.u.apply(list(b))
     diag = s.diagonal()
-    w = [0] * a.cols
-    for i in range(a.rows):
+    w = [0] * s.v.rows
+    for i in range(s.u.rows):
         di = diag[i] if i < len(diag) else 0
         if di != 0:
             q, r = divmod(c[i], di)
@@ -362,6 +354,124 @@ def solution_space_mod(a: IntMatrix, n: int) -> list[list[int]]:
             seen.add(g)
             gens.append(list(g))
     return gens
+
+
+@dataclass(frozen=True)
+class HowellForm:
+    """Reduced Howell basis of a subgroup of (Z/n)^width.
+
+    Row k has its leading entry at column pivots[k], pivots increase, each
+    leading entry divides n, entries above a leading entry lie below it, and
+    every entry lies in [0, n).  The Howell property holds: the rows with
+    leading column >= j span every vector of the span that vanishes before
+    column j.  So the basis is unique for its span, and each member is
+    sum(c_k * row_k) for exactly one choice of 0 <= c_k < n / pivot entry.
+    """
+
+    modulus: int
+    width: int
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
+
+    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """The lexicographically lowest vector of vec + span; it is zero
+        exactly when vec lies in the span."""
+        n = self.modulus
+        x = [int(v) % n for v in vec]
+        for row, j in zip(self.rows, self.pivots):
+            q = x[j] // row[j]
+            if q:
+                for k in range(j, self.width):
+                    x[k] = (x[k] - q * row[k]) % n
+        return tuple(x)
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not any(self.reduce(vec))
+
+    @property
+    def cardinality(self) -> int:
+        return prod(self.modulus // row[j] for row, j in zip(self.rows, self.pivots))
+
+    def pivot_entry(self, j: int) -> int:
+        """The leading entry at column j, or n when no row leads there."""
+        for row, p in zip(self.rows, self.pivots):
+            if p == j:
+                return row[j]
+        return self.modulus
+
+
+def _unit_normalizer(a: int, n: int) -> int:
+    """A unit u of Z/n with u * a == gcd(a, n) (mod n), for a != 0 mod n."""
+    g, s, _ = _xgcd(a, n)
+    step = n // g
+    u = s % step
+    while gcd(u, n) != 1:
+        u += step
+    return u
+
+
+def howell_form(rows: Sequence[Sequence[int]], n: int, width: int) -> HowellForm:
+    """Reduced Howell basis of the row span of `rows` in (Z/n)^width.
+
+    Column by column, the rows still in play (all zero before the column)
+    are merged into one leading row by unimodular extended-gcd transforms,
+    its leading entry is scaled by a unit to a divisor p of n, and
+    (n/p) * leading row, which vanishes in the column, stays in play: that
+    keeps the Howell property (J. A. Howell, "Spans in the module (Z_m)^s",
+    1986; Storjohann-Mulders, "Fast algorithms for linear algebra modulo N",
+    1998).  Finally each row is reduced against the rows below it.
+    """
+    if n < 2:
+        raise InputError("modulus must be >= 2")
+    pool = []
+    for r in rows:
+        if len(r) != width:
+            raise InputError("howell_form: row length mismatch")
+        red = [int(x) % n for x in r]
+        if any(red):
+            pool.append(red)
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for j in range(width):
+        lead = None
+        rest = []
+        for r in pool:
+            b = r[j]
+            if b == 0:
+                rest.append(r)
+            elif lead is None:
+                lead = r
+            else:
+                a = lead[j]
+                g, s, w = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                new_lead = [(s * x + w * y) % n for x, y in zip(lead, r)]
+                other = [(ag * y - bg * x) % n for x, y in zip(lead, r)]
+                lead = new_lead
+                if any(other):
+                    rest.append(other)
+        if lead is None:
+            continue
+        u = _unit_normalizer(lead[j], n)
+        if u != 1:
+            lead = [(u * x) % n for x in lead]
+        p = lead[j]
+        annihilated = [((n // p) * x) % n for x in lead]
+        if any(annihilated):
+            rest.append(annihilated)
+        basis.append(lead)
+        pivots.append(j)
+        pool = rest
+    for k, j in enumerate(pivots):
+        row_k = basis[k]
+        p = row_k[j]
+        for i in range(k):
+            q = basis[i][j] // p
+            if q:
+                row_i = basis[i]
+                for c in range(j, width):
+                    row_i[c] = (row_i[c] - q * row_k[c]) % n
+    return HowellForm(n, width, tuple(tuple(r) for r in basis), tuple(pivots))
 
 
 def determinant(a: IntMatrix) -> int:

@@ -164,13 +164,17 @@ class Filtration:
 
 def _fresh_element(rep: RepA2, cur: SubRep):
     """Lowest element of m1 then m2, in lexicographic order, outside the
-    current step; None when the step is already everything."""
-    for x in rep.m1.elements():
-        if not cur.s1.contains(x):
-            return 1, x
-    for y in rep.m2.elements():
-        if not cur.s2.contains(y):
-            return 2, y
+    current step; None when the step is already everything.
+
+    The elements below the generator e_j are those supported after
+    position j, so the lowest non-member is e_j for the largest j with
+    e_j outside the step.
+    """
+    for component, sub in ((1, cur.s1), (2, cur.s2)):
+        for j in reversed(range(sub.ambient.rank)):
+            e = sub.ambient.generator(j)
+            if not sub.contains(e):
+                return component, e
     return None
 
 
@@ -259,11 +263,25 @@ def _step_quotient_rep(filtration: Filtration, i: int) -> RepA2:
     return inner
 
 
+def _is_budget(bound: int, kappa: int, n: int) -> bool:
+    """Whether bound == kappa * n^e for an integer e >= 0."""
+    if kappa < 1 or bound < kappa or bound % kappa:
+        return False
+    e = bound // kappa
+    while e % n == 0:
+        e //= n
+    return e == 1
+
+
 def verify_filtration(filtration: Filtration,
                       cfg: Optional[FiltrationConfig] = None) -> FiltrationReport:
     """Independently re-check every filtration condition: zero base, purity of
     every step, chain containment with the union reaching the target, phantom
     quotient steps, the surfaced size bounds, and strict growth below the top.
+
+    The size check recomputes each quotient and fails when a report records
+    other quotient sizes, a bound below them, or (given the config) a bound
+    that is not kappa * n^e.
     """
     steps = filtration.steps
     conditions: dict[str, ConditionReport] = {}
@@ -296,20 +314,32 @@ def verify_filtration(filtration: Filtration,
     sizes_ok = True
     size_detail = []
     if chain_ok:
+        n = filtration.target.ring.modulus
         for i in range(len(steps) - 1):
             q = _step_quotient_rep(filtration, i)
             c1, c2 = q.m1.cardinality, q.m2.cardinality
-            if i < len(filtration.reports):
-                rep_i = filtration.reports[i]
-                b1, b2 = rep_i.bound_m1, rep_i.bound_m2
+            report = filtration.reports[i] if i < len(filtration.reports) else None
+            if report is not None:
+                b1, b2 = report.bound_m1, report.bound_m2
             elif cfg is not None:
                 b1 = b2 = cfg.kappa
             else:
                 b1 = b2 = None
-            size_detail.append(f"step {i}: |q1|={c1} |q2|={c2}"
-                               + (f" bounds {b1},{b2}" if b1 is not None else ""))
-            if b1 is not None and (c1 > b1 or c2 > b2):
-                sizes_ok = False
+            line = f"step {i}: |q1|={c1} |q2|={c2}"
+            if b1 is not None:
+                line += f" bounds {b1},{b2}"
+                if c1 > b1 or c2 > b2:
+                    sizes_ok = False
+            if report is not None:
+                recorded = (report.quotient_card_m1, report.quotient_card_m2)
+                if recorded != (c1, c2):
+                    sizes_ok = False
+                    line += f" recorded q1={recorded[0]} q2={recorded[1]}"
+                if cfg is not None and not (_is_budget(b1, cfg.kappa, n)
+                                            and _is_budget(b2, cfg.kappa, n)):
+                    sizes_ok = False
+                    line += " bounds not of the form kappa*n^e"
+            size_detail.append(line)
     else:
         sizes_ok = False
     conditions["size_bounds"] = ConditionReport(sizes_ok, "; ".join(size_detail))

@@ -10,7 +10,7 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as _iterproduct
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
@@ -21,11 +21,13 @@ from .errors import (
     InternalConsistencyError,
 )
 from .exact_linalg import (
+    HowellForm,
     IntMatrix,
+    howell_form,
     integer_kernel_basis,
     smith_normal_form,
     solve_mod,
-    solve_z,
+    solve_smith,
 )
 
 
@@ -255,16 +257,6 @@ def hom_group(m: FiniteModule, n: FiniteModule) -> tuple[ModuleMorphism, ...]:
     return tuple(gens)
 
 
-def hom_generator_order(f: ModuleMorphism) -> int:
-    """Additive order of a morphism inside Hom(source, target)."""
-    order = 1
-    for i, ei in enumerate(f.target.invariant_factors):
-        for a in f.matrix[i]:
-            if a:
-                order = order * (ei // gcd(a, ei)) // gcd(order, ei // gcd(a, ei))
-    return order
-
-
 # ---------------------------------------------------------------------------
 # scaled congruence systems
 #
@@ -299,9 +291,26 @@ def element_preimage(f: ModuleMorphism, y: Sequence[int]) -> Optional[tuple[int,
     return f.source.reduce(sol)
 
 
+def _scaled(mod: FiniteModule, x: Sequence[int]) -> tuple[int, ...]:
+    """x in (Z/n)^t through x_i -> (n/d_i) x_i, for x reduced: an injective
+    map that keeps the lexicographic order of elements."""
+    n = mod.ring.modulus
+    return tuple((n // d) * a for a, d in zip(x, mod.invariant_factors))
+
+
+def _unscaled(mod: FiniteModule, v: Sequence[int]) -> tuple[int, ...]:
+    n = mod.ring.modulus
+    return tuple(a // (n // d) for a, d in zip(v, mod.invariant_factors))
+
+
 @dataclass(frozen=True)
 class Submodule:
-    """A submodule of a fixed ambient module, given by a generating set."""
+    """A submodule of a fixed ambient module, given by a generating set.
+
+    Membership, cardinality and subgroup equality come from the reduced
+    Howell basis of the subgroup in the scaled coordinates of `_scaled`,
+    computed on first use and kept on the instance.
+    """
 
     ambient: FiniteModule
     generators: tuple[tuple[int, ...], ...]
@@ -319,14 +328,14 @@ class Submodule:
     def full(cls, ambient: FiniteModule) -> "Submodule":
         return cls(ambient, tuple(ambient.generator(j) for j in range(ambient.rank)))
 
+    @cached_property
+    def howell(self) -> HowellForm:
+        amb = self.ambient
+        return howell_form([_scaled(amb, g) for g in self.generators],
+                           amb.ring.modulus, amb.rank)
+
     def contains(self, x: Sequence[int]) -> bool:
-        x = self.ambient.reduce(x)
-        if self.ambient.rank == 0:
-            return True
-        if not self.generators:
-            return all(c == 0 for c in x)
-        a, b = _element_system(self.ambient, self.generators, x)
-        return solve_mod(a, b, self.ambient.ring.modulus) is not None
+        return self.howell.contains(_scaled(self.ambient, self.ambient.reduce(x)))
 
     def contains_submodule(self, other: "Submodule") -> bool:
         return all(self.contains(g) for g in other.generators)
@@ -344,35 +353,17 @@ class Submodule:
 
     @property
     def cardinality(self) -> int:
-        return self.presentation()[0].cardinality
-
-    def elements(self) -> frozenset[tuple[int, ...]]:
-        return _subgroup_elements(self)
+        return self.howell.cardinality
 
     @property
     def is_full(self) -> bool:
         return self.cardinality == self.ambient.cardinality
 
 
-@lru_cache(maxsize=None)
-def _subgroup_elements(sub: Submodule) -> frozenset[tuple[int, ...]]:
-    amb = sub.ambient
-    seen = {amb.zero_element()}
-    frontier = [amb.zero_element()]
-    while frontier:
-        x = frontier.pop()
-        for g in sub.generators:
-            y = amb.add(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
-
-
 def same_subgroup(a: Submodule, b: Submodule) -> bool:
     if a.ambient != b.ambient:
         raise InputError("same_subgroup: ambient modules differ")
-    return a.contains_submodule(b) and b.contains_submodule(a)
+    return a.howell == b.howell
 
 
 # ---------------------------------------------------------------------------
@@ -861,8 +852,10 @@ def _sub_lattice_columns(sub: Submodule) -> list[list[int]]:
 def is_pure_submodule(sub: Submodule) -> bool:
     """Bounded-exponent purity: S meets d*M in d*S for every divisor d of n.
 
-    Decided exactly on the preimage lattices; for each divisor the
-    intersection lattice is computed and tested for containment in d*S.
+    Decided exactly on the preimage lattices, independently of the Howell
+    route `pure_closure_counted` takes; for each divisor the d*S lattice is
+    factored once and every generator of the intersection lattice is tested
+    against it.
     """
     amb = sub.ambient
     t = amb.rank
@@ -878,9 +871,9 @@ def is_pure_submodule(sub: Submodule) -> bool:
         lds_cols = [[d * x for x in g] for g in sub.generators]
         for j, dd in enumerate(amb.invariant_factors):
             lds_cols.append([dd if i == j else 0 for i in range(t)])
-        lds = IntMatrix.from_columns(lds_cols, rows=t)
+        lds = smith_normal_form(IntMatrix.from_columns(lds_cols, rows=t))
         for vec in _lattice_intersection(ls, ldm, t):
-            if solve_z(lds, vec) is None:
+            if solve_smith(lds, vec) is None:
                 return False
     return True
 
@@ -926,45 +919,72 @@ def pure_closure(sub: Submodule) -> Submodule:
     return pure_closure_counted(sub)[0]
 
 
+def _purification_witness(sub: Submodule, d: int) -> Optional[tuple[int, ...]]:
+    """The lexicographically lowest s in (S meet d*M) \\ d*S, or None.
+
+    Read off the Howell bases of A = S meet d*M and B = d*S <= A in the
+    scaled coordinates.  A and B agree on the vectors vanishing before
+    column j iff their leading entries agree at every column >= j.  At the
+    largest column j where they differ, the lowest element of A \\ B
+    vanishes before j, carries A's leading entry there, and is the lowest
+    vector of its coset modulo the part of A vanishing through j: the
+    reduced Howell row of A leading at j.
+    """
+    amb = sub.ambient
+    n = amb.ring.modulus
+    t = amb.rank
+    hs = sub.howell
+    # S meet d*M is the kernel on S of v -> (d_i / gcd(d, d_i)) v_i: the
+    # rows of the Howell basis of {(D v | v)} leading in the second half
+    kill = [dd // gcd(d, dd) for dd in amb.invariant_factors]
+    stacked = howell_form([[k * x for k, x in zip(kill, row)] + list(row)
+                           for row in hs.rows], n, 2 * t)
+    lower = [k for k, j in enumerate(stacked.pivots) if j >= t]
+    inter = HowellForm(n, t, tuple(stacked.rows[k][t:] for k in lower),
+                       tuple(stacked.pivots[k] - t for k in lower))
+    ds = howell_form([[d * x for x in row] for row in hs.rows], n, t)
+    for j in reversed(range(t)):
+        if inter.pivot_entry(j) != ds.pivot_entry(j):
+            return _unscaled(amb, inter.rows[inter.pivots.index(j)])
+    return None
+
+
+def _lowest_scalar_preimage(amb: FiniteModule, d: int,
+                            s: Sequence[int]) -> tuple[int, ...]:
+    """The lexicographically lowest m with d * m == s.  The kernel of d* is
+    the coordinate subgroup of multiples of e_i / gcd(d, e_i), so coordinate
+    i is the lowest solution of d * m_i == s_i (mod e_i)."""
+    out = []
+    for si, e in zip(s, amb.invariant_factors):
+        g = gcd(d, e)
+        if si % g:
+            raise InternalConsistencyError("witness has no preimage under multiplication")
+        step = e // g
+        out.append((si // g) * pow(d // g, -1, step) % step)
+    return tuple(out)
+
+
 def pure_closure_counted(sub: Submodule) -> tuple[Submodule, int]:
-    """Deterministic purification: scan divisors in ascending order for a
-    witness s in (S meet d*M) \\ d*S, adjoin the lexicographically lowest
-    preimage m with d*m == s, repeat.  Terminates by strict growth.
+    """Deterministic purification: scan divisors in ascending order for the
+    lexicographically lowest witness s in (S meet d*M) \\ d*S, adjoin the
+    lexicographically lowest m with d*m == s, repeat.  Terminates by strict
+    growth.
 
     Returns the purified submodule and the number of adjoined witnesses.
     """
     amb = sub.ambient
-    t = amb.rank
-    if t == 0:
+    if amb.rank == 0:
         return sub, 0
-    n = amb.ring.modulus
     cur = sub
     witnesses = 0
     while True:
         found = None
-        ls = _sub_lattice_columns(cur)
-        for d in amb.ring.divisors():
-            if d == 1:
-                continue
-            ldm = [[gcd(d, amb.invariant_factors[j]) if i == j else 0 for i in range(t)]
-                   for j in range(t)]
-            inter = _lattice_intersection(ls, ldm, t)
-            inter_sub = Submodule(amb, tuple(amb.reduce(v) for v in inter))
-            ds_sub = Submodule(amb, tuple(amb.smul(d, g) for g in cur.generators))
-            for s_elt in sorted(inter_sub.elements()):
-                if not ds_sub.contains(s_elt):
-                    found = (d, s_elt)
-                    break
-            if found is not None:
+        for d in amb.ring.divisors()[1:]:
+            s_elt = _purification_witness(cur, d)
+            if s_elt is not None:
+                found = (d, s_elt)
                 break
         if found is None:
             return cur, witnesses
-        d, s_elt = found
-        mult = multiplication_map(amb, d)
-        m0 = element_preimage(mult, s_elt)
-        if m0 is None:
-            raise InternalConsistencyError("witness has no preimage under multiplication")
-        ker = kernel_submodule(mult)
-        best = min(amb.add(m0, z) for z in ker.elements())
-        cur = cur.join([best])
+        cur = cur.join([_lowest_scalar_preimage(amb, *found)])
         witnesses += 1

@@ -124,13 +124,17 @@ class Manifest:
         return name
 
 
+def _int(text: Optional[str], what: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        raise InputError(f"line {lineno}: malformed {what} {text!r}") from None
+
+
 def _ints(text: str, what: str, lineno: int) -> list[int]:
     if text == "":
         return []
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise InputError(f"line {lineno}: malformed {what} {text!r}") from None
+    return [_int(x, what, lineno) for x in text.split(",")]
 
 
 def _vectors(text: str, lineno: int) -> list[tuple[int, ...]]:
@@ -212,16 +216,17 @@ def parse(text: str) -> Manifest:
     for lineno, kind, name, fields in _parse_lines(text):
         if kind == "manifest":
             _require(fields, ["version"], lineno)
-            version = int(fields["version"])
+            version = _int(fields["version"], "version", lineno)
             if version != FORMAT_VERSION:
                 raise InputError(f"line {lineno}: unsupported version {version}")
         elif kind == "ring":
             _require(fields, ["n"], lineno)
             if manifest is not None:
                 raise InputError(f"line {lineno}: duplicate ring section")
+            modulus = _int(fields["n"], "modulus", lineno)
             try:
-                manifest = Manifest(Ring(int(fields["n"])), format_version=version)
-            except (ValueError, InputError) as exc:
+                manifest = Manifest(Ring(modulus), format_version=version)
+            except InputError as exc:
                 raise InputError(f"line {lineno}: bad ring: {exc}") from None
         elif kind in ("module", "morphism", "rep", "repmap"):
             if manifest is None:
@@ -319,6 +324,7 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
     manifest = parse("\n".join(object_lines))
     target: Optional[RepA2] = None
     kappa: Optional[int] = None
+    header_line = 0
     steps: dict[int, SubRep] = {}
     reports: dict[int, StepReport] = {}
     for lineno, raw in chain_lines:
@@ -329,12 +335,13 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
             target = manifest.reps.get(fields["target"])
             if target is None:
                 raise InputError(f"line {lineno}: unknown target rep")
-            kappa = int(fields["kappa"])
+            kappa = _int(fields["kappa"], "kappa", lineno)
+            header_line = lineno
         elif kind == "step":
             if target is None:
                 raise InputError(f"line {lineno}: [step] before [filtration]")
             _require(fields, ["s1", "s2"], lineno)
-            idx = int(name)
+            idx = _int(name, "step index", lineno)
             try:
                 steps[idx] = SubRep(
                     target,
@@ -344,11 +351,13 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
                 raise InputError(f"line {lineno}: {exc}") from None
         elif kind == "stepreport":
             _require(fields, ["witnesses", "q1", "q2", "b1", "b2"], lineno)
-            reports[int(name)] = StepReport(
-                int(fields["witnesses"]), int(fields["q1"]), int(fields["q2"]),
-                int(fields["b1"]), int(fields["b2"]))
+            reports[_int(name, "step report index", lineno)] = StepReport(*(
+                _int(fields[key], key, lineno)
+                for key in ("witnesses", "q1", "q2", "b1", "b2")))
     if target is None or kappa is None:
         raise InputError("filtration file has no [filtration] section")
+    if not steps:
+        raise InputError(f"line {header_line}: [filtration] has no [step] records")
     if set(steps) != set(range(len(steps))):
         raise InputError("filtration steps must be numbered 0..k")
     if reports and set(reports) != set(range(len(reports))):

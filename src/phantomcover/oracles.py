@@ -9,7 +9,7 @@ from math import gcd
 from typing import Optional
 
 from .exact_linalg import IntMatrix, determinant
-from .finmod import FiniteModule, ModuleMorphism
+from .finmod import FiniteModule, ModuleMorphism, Submodule
 
 
 def minor_gcd_diagonal(a: IntMatrix) -> tuple[int, ...]:
@@ -100,6 +100,32 @@ def hom_count(m: FiniteModule, n: FiniteModule) -> int:
     return total
 
 
-def morphism_graph(f: ModuleMorphism) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The literal set-of-pairs graph of f, for element-level comparisons."""
-    return {(x, f.apply(x)) for x in f.source.elements()}
+def subgroup_elements(sub: Submodule) -> frozenset[tuple[int, ...]]:
+    """Every element of a generated subgroup, by closure under addition."""
+    amb = sub.ambient
+    seen = {amb.zero_element()}
+    frontier = [amb.zero_element()]
+    while frontier:
+        x = frontier.pop()
+        for g in sub.generators:
+            y = amb.add(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
+def lowest_non_member(sub: Submodule) -> Optional[tuple[int, ...]]:
+    """First element of the ambient module, in lexicographic order, outside
+    the subgroup; None when the subgroup is everything."""
+    elts = subgroup_elements(sub)
+    return next((x for x in sub.ambient.elements() if x not in elts), None)
+
+
+def lowest_purification_witness(sub: Submodule, d: int) -> Optional[tuple[int, ...]]:
+    """Lowest s in (S meet d*M) \\ d*S in lexicographic order, or None."""
+    amb = sub.ambient
+    elts = subgroup_elements(sub)
+    dm = {amb.smul(d, x) for x in amb.elements()}
+    ds = {amb.smul(d, x) for x in elts}
+    return min((s for s in elts if s in dm and s not in ds), default=None)

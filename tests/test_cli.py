@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +212,65 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "suite=ok" in proc.stdout
+
+
+def _filtration_file(demo, tmp_path):
+    outfile = tmp_path / "filt.txt"
+    assert main(["filtrate", "--input", demo, "--rep", "bigrep", "--kappa", "4",
+                 "--output", str(outfile)]) == 0
+    return outfile
+
+
+def _rewrite(path, edit):
+    """Apply edit to every line; a line edited to None is dropped."""
+    lines = [edit(l) for l in path.read_text(encoding="utf-8").splitlines()]
+    path.write_text("\n".join(l for l in lines if l is not None) + "\n",
+                    encoding="utf-8")
+    return [l for l in lines if l is not None]
+
+
+def test_non_integer_version_is_an_input_error(demo, capsys):
+    _rewrite(Path(demo), lambda l: l.replace("version=1", "version=x"))
+    code = main(["check-phantom", "--input", demo, "--morphism", "ident2"])
+    assert code == 2
+    assert "line 1: malformed version 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prefix, replacement, what", [
+    ("[filtration]", "[filtration] target=bigrep kappa=abc", "kappa 'abc'"),
+    ("[step 1]", "[step one] s1=0,0,1 s2=0,0,2;0,0,1", "step index 'one'"),
+    ("[stepreport 0]", "[stepreport 0] witnesses=1 q1=4 q2=x b1=4 b2=16", "q2 'x'"),
+])
+def test_non_integer_filtration_field_is_an_input_error(
+        demo, capsys, tmp_path, prefix, replacement, what):
+    path = _filtration_file(demo, tmp_path)
+    lines = _rewrite(path, lambda l: replacement if l.startswith(prefix) else l)
+    lineno = 1 + next(i for i, l in enumerate(lines) if l == replacement)
+    capsys.readouterr()
+    assert main(["verify-filtration", "--input", str(path)]) == 2
+    assert f"line {lineno}: malformed {what}" in capsys.readouterr().err
+
+
+def test_filtration_without_steps_is_an_input_error(demo, capsys, tmp_path):
+    path = _filtration_file(demo, tmp_path)
+    lines = _rewrite(path, lambda l: None if l.startswith("[step") else l)
+    lineno = 1 + next(i for i, l in enumerate(lines) if l.startswith("[filtration]"))
+    capsys.readouterr()
+    assert main(["verify-filtration", "--input", str(path)]) == 2
+    assert f"line {lineno}: [filtration] has no [step] records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("forged, flag", [
+    ("witnesses=1 q1=1 q2=4 b1=999999 b2=16", "recorded q1=1 q2=4"),
+    ("witnesses=1 q1=4 q2=4 b1=4 b2=12", "bounds not of the form kappa*n^e"),
+])
+def test_verify_filtration_rejects_forged_step_reports(
+        demo, capsys, tmp_path, forged, flag):
+    path = _filtration_file(demo, tmp_path)
+    _rewrite(path, lambda l: "[stepreport 0] " + forged
+             if l.startswith("[stepreport 0]") else l)
+    capsys.readouterr()
+    code, out = run(["verify-filtration", "--input", str(path)], capsys)
+    assert code == 1
+    failed = next(l for l in out.splitlines() if l.startswith("FAIL size_bounds"))
+    assert flag in failed
