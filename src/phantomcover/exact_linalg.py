@@ -292,17 +292,11 @@ def solve_z(a: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
     """One integer solution x of a @ x == b, or None if none exists."""
     if len(b) != a.rows:
         raise InputError("solve_z: right-hand side length mismatch")
-    return solve_smith(smith_normal_form(a), b)
-
-
-def solve_smith(s: SmithDecomposition, b: Sequence[int]) -> Optional[list[int]]:
-    """One integer solution x of A @ x == b, or None, for the matrix A with
-    U @ A @ V == D: x = V @ w where D @ w == U @ b.  Reuses one factoring
-    for many right-hand sides."""
+    s = smith_normal_form(a)
     c = s.u.apply(list(b))
     diag = s.diagonal()
-    w = [0] * s.v.rows
-    for i in range(s.u.rows):
+    w = [0] * a.cols
+    for i in range(a.rows):
         di = diag[i] if i < len(diag) else 0
         if di != 0:
             q, r = divmod(c[i], di)

@@ -162,9 +162,14 @@ def _fields(rest: str, lineno: int) -> dict[str, str]:
 
 
 def _require(fields: dict[str, str], keys: list[str], lineno: int) -> None:
+    """Every record defines its exact key set: a missing key and a key the
+    record does not define are both input errors."""
     for key in keys:
         if key not in fields:
             raise InputError(f"line {lineno}: missing field {key!r}")
+    for key in fields:
+        if key not in keys:
+            raise InputError(f"line {lineno}: unknown field {key!r}")
 
 
 def serialize(manifest: Manifest) -> str:

@@ -9,7 +9,8 @@ from math import gcd
 from typing import Optional
 
 from .exact_linalg import IntMatrix, determinant
-from .finmod import FiniteModule, ModuleMorphism, Submodule
+from .finmod import FiniteModule, ModuleMorphism, Submodule, compose
+from .ideals import factors_through_projective, phantom_probes
 
 
 def minor_gcd_diagonal(a: IntMatrix) -> tuple[int, ...]:
@@ -98,6 +99,14 @@ def hom_count(m: FiniteModule, n: FiniteModule) -> int:
         for dj in m.invariant_factors:
             total *= gcd(dj, ei)
     return total
+
+
+def phantom_by_probes(f: ModuleMorphism) -> bool:
+    """Phantom by the definition's quantifier: every composite of f with a
+    probe into its source (the identity and generators of Hom(Z/d, source))
+    lifts through the free cover of the target."""
+    return all(factors_through_projective(compose(f, g)) is not None
+               for g in phantom_probes(f.source))
 
 
 def subgroup_elements(sub: Submodule) -> frozenset[tuple[int, ...]]:

@@ -167,6 +167,13 @@ def test_verify_suite_unknown_property(capsys):
     assert main(["verify-suite", "--samples", "1", "--property", "nope"]) == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_suite_rejects_fewer_than_one_sample(capsys, samples):
+    code, out = run(["verify-suite", "--samples", samples, "--ring", "4"], capsys)
+    assert code == 2
+    assert "suite=" not in out
+
+
 def test_verify_suite_failure_output_names_everything(capsys, monkeypatch):
     import phantomcover.verify as verify
 
@@ -274,3 +281,21 @@ def test_verify_filtration_rejects_forged_step_reports(
     assert code == 1
     failed = next(l for l in out.splitlines() if l.startswith("FAIL size_bounds"))
     assert flag in failed
+
+
+def test_stray_key_on_a_step_report_is_an_input_error(demo, capsys, tmp_path):
+    path = _filtration_file(demo, tmp_path)
+    lines = _rewrite(path, lambda l: l.replace("witnesses=", "extra=1 witnesses=")
+                     if l.startswith("[stepreport 0]") else l)
+    lineno = 1 + next(i for i, l in enumerate(lines) if l.startswith("[stepreport 0]"))
+    capsys.readouterr()
+    assert main(["verify-filtration", "--input", str(path)]) == 2
+    assert f"line {lineno}: unknown field 'extra'" in capsys.readouterr().err
+
+
+def test_misspelt_key_on_a_module_record_is_an_input_error(demo, capsys):
+    lines = _rewrite(Path(demo), lambda l: l + " factros=4"
+                     if l.startswith("[module four]") else l)
+    lineno = 1 + next(i for i, l in enumerate(lines) if l.startswith("[module four]"))
+    assert main(["check-phantom", "--input", demo, "--morphism", "ident2"]) == 2
+    assert f"line {lineno}: unknown field 'factros'" in capsys.readouterr().err

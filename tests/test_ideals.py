@@ -22,7 +22,7 @@ from phantomcover.ideals import (
     is_phantom,
     projective_identity_ideal,
 )
-from phantomcover.oracles import exhaustive_homs
+from phantomcover.oracles import exhaustive_homs, phantom_by_probes
 
 Z4 = Ring(4)
 
@@ -87,6 +87,7 @@ def test_phantom_matches_factorization_oracle(data):
     tgt = data.draw(modules(ring, max_card=64, max_rank=3))
     f = data.draw(morphisms(src, tgt))
     assert is_phantom(f) == (factors_through_projective(f) is not None)
+    assert is_phantom(f) == phantom_by_probes(f)
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,3 +35,20 @@ def test_vacuous_counting_on_semisimple_ring():
     # has nothing to sample and must report vacuous passes
     out = run_property("extension_counterexample", seed=5, ring=Ring(6), samples=4)
     assert out.ok and out.vacuous == 4
+
+
+def test_raising_sample_is_recorded_and_the_rest_still_run(monkeypatch):
+    ran = []
+
+    def flaky(chk, rng, ring):
+        ran.append(chk.sample)
+        if chk.sample == 1:
+            raise ZeroDivisionError("synthetic crash")
+
+    monkeypatch.setitem(PROPERTIES, "flaky", ("finmod", flaky))
+    out = run_property("flaky", seed=4, ring=Ring(4), samples=3)
+    assert ran == [0, 1, 2]
+    assert len(out.failures) == 1
+    f = out.failures[0]
+    assert (f.prop, f.ring, f.seed, f.sample) == ("flaky", 4, 4, 1)
+    assert f.message == "raised ZeroDivisionError: synthetic crash"
