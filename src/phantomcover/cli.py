@@ -3,7 +3,8 @@
 Commands operate on manifest files and print machine-readable key=value
 records to stdout; objects produced by a command are written as a manifest
 to --output when given.  Exit codes: 0 ok, 1 property/verification failure,
-2 input error, 3 internal consistency violation.
+2 input error, 3 internal consistency violation or any other unexpected
+exception.
 """
 
 from __future__ import annotations
@@ -372,6 +373,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
     except InternalConsistencyError as exc:
         print(f"error=internal-consistency detail={exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # any other exception is a defect too; keep the record format
+        print(f"error=unexpected detail={type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, InternalConsistencyError
 
 
 @dataclass(frozen=True)
@@ -344,7 +344,7 @@ def solution_space_mod(a: IntMatrix, n: int) -> list[list[int]]:
         g = tuple(vec[j] % n for j in range(a.cols))
         if any(g) and g not in seen:
             if any(x % n for x in a.apply(list(g))):
-                raise RuntimeError("kernel generator fails annihilation check")
+                raise InternalConsistencyError("kernel generator fails annihilation check")
             seen.add(g)
             gens.append(list(g))
     return gens

@@ -179,6 +179,27 @@ class ModuleMorphism:
         object.__setattr__(self, "matrix", tuple(reduced))
 
     @classmethod
+    def _trusted(cls, source: FiniteModule, target: FiniteModule,
+                 matrix: tuple[tuple[int, ...], ...]) -> "ModuleMorphism":
+        """A morphism whose entries are already reduced mod the target
+        invariant factors and well defined by construction (a composite, a
+        sum, a verified lift).  Skips the congruence check, so it is for
+        internal results only: outside input goes through the constructor."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "source", source)
+        object.__setattr__(f, "target", target)
+        object.__setattr__(f, "matrix", matrix)
+        return f
+
+    def __hash__(self):
+        # memoized: the left-factor caches hash the same morphism per lookup
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.source, self.target, self.matrix))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    @classmethod
     def identity(cls, m: FiniteModule) -> "ModuleMorphism":
         k = m.rank
         return cls(m, m, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
@@ -212,13 +233,15 @@ class ModuleMorphism:
     def __add__(self, other: "ModuleMorphism") -> "ModuleMorphism":
         if self.source != other.source or self.target != other.target:
             raise InputError("morphism sum needs matching source and target")
-        return ModuleMorphism(self.source, self.target, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.matrix, other.matrix)))
+        return ModuleMorphism._trusted(self.source, self.target, tuple(
+            tuple((a + b) % d for a, b in zip(r1, r2))
+            for r1, r2, d in zip(self.matrix, other.matrix,
+                                 self.target.invariant_factors)))
 
     def __neg__(self) -> "ModuleMorphism":
-        return ModuleMorphism(self.source, self.target,
-                              tuple(tuple(-a for a in row) for row in self.matrix))
+        return ModuleMorphism._trusted(self.source, self.target, tuple(
+            tuple(-a % d for a in row)
+            for row, d in zip(self.matrix, self.target.invariant_factors)))
 
     def __sub__(self, other: "ModuleMorphism") -> "ModuleMorphism":
         return self + (-other)
@@ -229,12 +252,11 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     if f.target != g.source:
         raise InputError("compose: domain mismatch")
     rows = []
-    for i in range(g.target.rank):
-        grow = g.matrix[i]
+    for grow, ei in zip(g.matrix, g.target.invariant_factors):
         rows.append(tuple(
-            sum(grow[k] * f.matrix[k][j] for k in range(f.target.rank))
+            sum(grow[k] * f.matrix[k][j] for k in range(f.target.rank)) % ei
             for j in range(f.source.rank)))
-    return ModuleMorphism(f.source, g.target, tuple(rows))
+    return ModuleMorphism._trusted(f.source, g.target, tuple(rows))
 
 
 def hom_group(m: FiniteModule, n: FiniteModule) -> tuple[ModuleMorphism, ...]:
@@ -252,7 +274,7 @@ def hom_group(m: FiniteModule, n: FiniteModule) -> tuple[ModuleMorphism, ...]:
             if g > 1:
                 rows = [[0] * m.rank for _ in range(n.rank)]
                 rows[i][j] = ei // g
-                gens.append(ModuleMorphism(m, n, tuple(tuple(r) for r in rows)))
+                gens.append(ModuleMorphism._trusted(m, n, tuple(tuple(r) for r in rows)))
     return tuple(gens)
 
 
@@ -539,7 +561,8 @@ def _lift_column(g: ModuleMorphism, dq: int, y: tuple[int, ...]) -> Optional[tup
     """Some x in g.source with g(x) == y and dq * x == 0, or None.
 
     Cached: probe sweeps re-solve the same (morphism, order, column) triples
-    constantly.
+    constantly.  A solution is checked against both equations before it is
+    cached, so every returned x is verified once per distinct triple.
     """
     n = g.source.ring.modulus
     p_fac = g.source.invariant_factors
@@ -557,12 +580,17 @@ def _lift_column(g: ModuleMorphism, dq: int, y: tuple[int, ...]) -> Optional[tup
     sol = solve_mod(IntMatrix.from_rows(rows, cols=pr), rhs, n)
     if sol is None:
         return None
-    return g.source.reduce(sol)
+    x = g.source.reduce(sol)
+    if g.apply(x) != y or any(g.source.smul(dq, x)):
+        raise InternalConsistencyError("left-factor solver returned a non-solution")
+    return x
 
 
 def solve_left_factor(g: ModuleMorphism, psi: ModuleMorphism) -> Optional[ModuleMorphism]:
     """Some j with g o j == psi, or None.  Columns are independent, so each
-    source generator of psi is lifted by its own small modular system."""
+    source generator of psi is lifted by its own small modular system, and
+    `_lift_column` verifies each lift, which makes j well defined and
+    g o j == psi column by column."""
     if g.target != psi.target:
         raise InputError("solve_left_factor: targets differ")
     if g.source.ring != psi.source.ring:
@@ -573,10 +601,8 @@ def solve_left_factor(g: ModuleMorphism, psi: ModuleMorphism) -> Optional[Module
         if sol is None:
             return None
         cols.append(sol)
-    j = ModuleMorphism.from_columns(psi.source, g.source, cols)
-    if compose(g, j) != psi:
-        raise InternalConsistencyError("left-factor solver returned a non-solution")
-    return j
+    return ModuleMorphism._trusted(psi.source, g.source, tuple(
+        tuple(col[i] for col in cols) for i in range(g.source.rank)))
 
 
 @lru_cache(maxsize=None)

@@ -341,6 +341,10 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
             if target is None:
                 raise InputError(f"line {lineno}: unknown target rep")
             kappa = _int(fields["kappa"], "kappa", lineno)
+            try:
+                FiltrationConfig(kappa=kappa).check(target)
+            except InputError as exc:
+                raise InputError(f"line {lineno}: {exc}") from None
             header_line = lineno
         elif kind == "step":
             if target is None:

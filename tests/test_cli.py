@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from phantomcover import cli, exact_linalg, finmod
 from phantomcover.cli import main
 
 DEMO = """\
@@ -212,6 +213,27 @@ def test_internal_consistency_exit_code(tmp_path, capsys):
                  "--phi", "phi", "--mono", "vk"]) == 3
 
 
+def test_unexpected_exception_exit_code(demo, capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check_phantom", broken)
+    assert main(["check-phantom", "--input", demo, "--morphism", "ident2"]) == 3
+    assert capsys.readouterr().err == "error=unexpected detail=KeyError: 'boom'\n"
+
+
+def test_failed_annihilation_check_is_an_internal_error(demo, capsys, monkeypatch):
+    # a kernel generator that a does not annihilate reaches the cover
+    # test's self-factorization solve
+    monkeypatch.setattr(exact_linalg, "integer_kernel_basis",
+                        lambda a: [[1] + [0] * (a.cols - 1)])
+    finmod._kernel_column_gens.cache_clear()
+    assert main(["cover", "--input", demo, "--morphism", "covermap",
+                 "--size-bound", "16"]) == 3
+    assert capsys.readouterr().err == (
+        "error=internal-consistency detail=kernel generator fails annihilation check\n")
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "phantomcover.cli", "verify-suite", "--seed", "1",
@@ -281,6 +303,18 @@ def test_verify_filtration_rejects_forged_step_reports(
     assert code == 1
     failed = next(l for l in out.splitlines() if l.startswith("FAIL size_bounds"))
     assert flag in failed
+
+
+@pytest.mark.parametrize("kappa", ["1", "0", "-8"])
+def test_kappa_below_the_modulus_is_an_input_error(demo, capsys, tmp_path, kappa):
+    path = _filtration_file(demo, tmp_path)
+    lines = _rewrite(path, lambda l: l.replace("kappa=4", f"kappa={kappa}")
+                     if l.startswith("[filtration]") else l)
+    lineno = 1 + next(i for i, l in enumerate(lines) if l.startswith("[filtration]"))
+    capsys.readouterr()
+    assert main(["verify-filtration", "--input", str(path)]) == 2
+    assert (f"line {lineno}: kappa must be at least the ring modulus"
+            in capsys.readouterr().err)
 
 
 def test_stray_key_on_a_step_report_is_an_input_error(demo, capsys, tmp_path):

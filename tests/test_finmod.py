@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import elements, modules, modules_with_submodule, morphisms, rings, submodules
-from phantomcover.errors import IllDefinedMorphismError, InputError
+from phantomcover import finmod
+from phantomcover.errors import IllDefinedMorphismError, InputError, InternalConsistencyError
 from phantomcover.finmod import (
     Diagram,
     FiniteModule,
@@ -456,6 +457,46 @@ def test_solve_left_factor_and_inverse():
     inv = invert_automorphism(aut)
     assert compose(inv, aut) == ModuleMorphism.identity(m)
     assert compose(aut, inv) == ModuleMorphism.identity(m)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trusted_morphisms_pass_the_checking_constructor(data):
+    # compose, +, -, hom_group and solve_left_factor build without the
+    # congruence check; the checking constructor must accept each result
+    # unchanged, and the memoized hash must agree with the rebuilt one
+    ring = data.draw(rings(moduli=(2, 3, 4, 6, 8, 9, 12, 16)))
+    a, b, c = (data.draw(modules(ring, max_card=32, max_rank=3)) for _ in range(3))
+    f, f2 = data.draw(morphisms(a, b)), data.draw(morphisms(a, b))
+    g = data.draw(morphisms(b, c))
+    psi = compose(g, f)
+    j = solve_left_factor(g, psi)
+    assert j is not None and compose(g, j) == psi  # f itself is a solution
+    built = [psi, f + f2, -f, f - f2, j, *hom_group(a, b)]
+    other = solve_left_factor(g, data.draw(morphisms(a, c)))
+    if other is not None:
+        built.append(other)
+    for h in built:
+        rebuilt = ModuleMorphism(h.source, h.target, h.matrix)
+        assert rebuilt.matrix == h.matrix
+        assert rebuilt == h and hash(rebuilt) == hash(h) == hash(h)
+
+
+@pytest.mark.parametrize("source, target, rows, fake", [
+    # identity of Z/4: x = 0 misses g(x) == y
+    ((4,), (4,), [[1]], [0]),
+    # Z/4 onto Z/2 against the identity of Z/2: x = 1 meets g(x) == y but
+    # 2 * 1 != 0 in Z/4, so the lift would be ill defined (none exists)
+    ((4,), (2,), [[1]], [1]),
+])
+def test_left_factor_lift_is_checked(monkeypatch, source, target, rows, fake):
+    g = morph(mod(Z4, *source), mod(Z4, *target), rows)
+    psi = ModuleMorphism.identity(g.target)
+    finmod._lift_column.cache_clear()
+    monkeypatch.setattr(finmod, "solve_mod", lambda a, b, n: list(fake))
+    with pytest.raises(InternalConsistencyError, match="non-solution"):
+        solve_left_factor(g, psi)
 
 
 def test_image_and_kernel_submodules():
