@@ -33,19 +33,28 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _read_manifest(path: str) -> _manifest.Manifest:
+def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file; a file that cannot be read or
+    decoded is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return _manifest.parse(handle.read())
-    except OSError as exc:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _read_manifest(path: str) -> _manifest.Manifest:
+    return _manifest.parse(_read_text(path))
 
 
 def _write_output(path: Optional[str], text: str) -> None:
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _lookup(table: dict, name: str, kind: str):
@@ -184,12 +193,7 @@ def cmd_filtrate(args) -> int:
 
 
 def cmd_verify_filtration(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {args.input}: {exc}") from None
-    _, filt, cfg = _manifest.parse_filtration(text)
+    _, filt, cfg = _manifest.parse_filtration(_read_text(args.input))
     report = _filtration.verify_filtration(filt, cfg)
     print(f"command=verify-filtration steps={len(filt.steps)}")
     for line in report.lines():

@@ -1,5 +1,5 @@
-"""Exact integer matrix algebra: Smith normal form, modular solvers and the
-Howell form of row spans over Z/n.
+"""Exact integer matrix algebra: the Smith normal form, for presentations,
+and the Howell form of row spans over Z/n, which every modular solver reads.
 
 Everything is carried out over arbitrary-precision Python ints; no floating
 point is used anywhere.  The Smith normal form pivot rule is deterministic
@@ -288,66 +288,11 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     )
 
 
-def solve_z(a: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
-    """One integer solution x of a @ x == b, or None if none exists."""
-    if len(b) != a.rows:
-        raise InputError("solve_z: right-hand side length mismatch")
-    s = smith_normal_form(a)
-    c = s.u.apply(list(b))
-    diag = s.diagonal()
-    w = [0] * a.cols
-    for i in range(a.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di != 0:
-            q, r = divmod(c[i], di)
-            if r != 0:
-                return None
-            w[i] = q
-        elif c[i] != 0:
-            return None
-    return s.v.apply(w)
-
-
 def integer_kernel_basis(a: IntMatrix) -> list[list[int]]:
     """Basis of the lattice {x in Z^cols : a @ x == 0}."""
     s = smith_normal_form(a)
     r = s.rank
     return [list(s.v.column(k)) for k in range(r, a.cols)]
-
-
-def solve_mod(a: IntMatrix, b: Sequence[int], n: int) -> Optional[list[int]]:
-    """One solution x of a @ x == b (mod n) with entries in [0, n), or None.
-
-    Lifts to the integer system [a | n*I] @ (x; y) == b so a single exact
-    algorithm serves both Z and Z/n.
-    """
-    if n < 2:
-        raise InputError("modulus must be >= 2")
-    if len(b) != a.rows:
-        raise InputError("solve_mod: right-hand side length mismatch")
-    lifted = a.hstack(IntMatrix.from_diagonal([n] * a.rows))
-    z = solve_z(lifted, b)
-    if z is None:
-        return None
-    return [z[j] % n for j in range(a.cols)]
-
-
-def solution_space_mod(a: IntMatrix, n: int) -> list[list[int]]:
-    """Generators of the solution group {x in (Z/n)^cols : a @ x == 0 (mod n)};
-    each returned generator is re-verified to be annihilated by a."""
-    if n < 2:
-        raise InputError("modulus must be >= 2")
-    lifted = a.hstack(IntMatrix.from_diagonal([n] * a.rows))
-    gens = []
-    seen = set()
-    for vec in integer_kernel_basis(lifted):
-        g = tuple(vec[j] % n for j in range(a.cols))
-        if any(g) and g not in seen:
-            if any(x % n for x in a.apply(list(g))):
-                raise InternalConsistencyError("kernel generator fails annihilation check")
-            seen.add(g)
-            gens.append(list(g))
-    return gens
 
 
 @dataclass(frozen=True)
@@ -466,6 +411,47 @@ def howell_form(rows: Sequence[Sequence[int]], n: int, width: int) -> HowellForm
                 for c in range(j, width):
                     row_i[c] = (row_i[c] - q * row_k[c]) % n
     return HowellForm(n, width, tuple(tuple(r) for r in basis), tuple(pivots))
+
+
+def _graph_form(a: IntMatrix, n: int) -> HowellForm:
+    """Howell form of the graph {(a x | x)} in (Z/n)^(rows + cols), spanned
+    by the rows (column j of a | e_j)."""
+    if n < 2:
+        raise InputError("modulus must be >= 2")
+    c = a.cols
+    return howell_form([list(a.column(j)) + [1 if k == j else 0 for k in range(c)]
+                        for j in range(c)], n, a.rows + c)
+
+
+def solve_mod(a: IntMatrix, b: Sequence[int], n: int) -> Optional[list[int]]:
+    """The lexicographically lowest x in [0, n)^cols with a @ x == b (mod n),
+    or None.
+
+    Reducing (-b | 0) against the graph form gives the lowest vector of
+    (-b | 0) + {(a x | x)}: (0 | x) for the lowest solution x when one
+    exists, a non-zero left half otherwise.
+    """
+    if len(b) != a.rows:
+        raise InputError("solve_mod: right-hand side length mismatch")
+    red = _graph_form(a, n).reduce([-v for v in b] + [0] * a.cols)
+    if any(red[:a.rows]):
+        return None
+    return list(red[a.rows:])
+
+
+def solution_space_mod(a: IntMatrix, n: int) -> list[list[int]]:
+    """Howell basis of the solution group {x in (Z/n)^cols : a @ x == 0
+    (mod n)}: the right halves of the graph-form rows leading there.  Each
+    generator is re-verified to be annihilated by a."""
+    h = _graph_form(a, n)
+    gens = []
+    for row, j in zip(h.rows, h.pivots):
+        if j >= a.rows:
+            g = list(row[a.rows:])
+            if any(x % n for x in a.apply(g)):
+                raise InternalConsistencyError("kernel generator fails annihilation check")
+            gens.append(g)
+    return gens
 
 
 def determinant(a: IntMatrix) -> int:

@@ -26,6 +26,7 @@ from .exact_linalg import (
     howell_form,
     integer_kernel_basis,
     smith_normal_form,
+    solution_space_mod,
     solve_mod,
 )
 
@@ -280,33 +281,28 @@ def hom_group(m: FiniteModule, n: FiniteModule) -> tuple[ModuleMorphism, ...]:
 
 # ---------------------------------------------------------------------------
 # scaled congruence systems
-#
-# Constraints "x = y (mod d)" with d | n are encoded as "(n/d) x = (n/d) y
-# (mod n)", so a single solver over Z/n handles mixed per-coordinate moduli.
 # ---------------------------------------------------------------------------
 
-def _element_system(mod: FiniteModule, columns: Sequence[Sequence[int]],
+def _element_system(n: int, moduli: Sequence[int], columns: Sequence[Sequence[int]],
                     rhs: Sequence[int]) -> tuple[IntMatrix, list[int]]:
-    n = mod.ring.modulus
+    """The congruences sum_j x_j * columns[j][k] == rhs[k] (mod moduli[k]),
+    each modulus dividing n, as one system over Z/n: row k is scaled by
+    n / moduli[k].  Every hand-built congruence system goes through here."""
     rows = []
     b = []
-    for i, di in enumerate(mod.invariant_factors):
-        s = n // di
-        rows.append([s * col[i] for col in columns])
-        b.append(s * rhs[i])
+    for k, m in enumerate(moduli):
+        s = n // m
+        rows.append([s * col[k] for col in columns])
+        b.append(s * rhs[k])
     return IntMatrix.from_rows(rows, cols=len(columns)), b
 
 
 def element_preimage(f: ModuleMorphism, y: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Some x with f(x) == y, or None."""
+    """The lexicographically lowest x with f(x) == y, or None."""
     y = f.target.reduce(y)
-    if f.source.rank == 0:
-        return () if all(c == 0 for c in y) else None
-    if f.target.rank == 0:
-        return f.source.zero_element()
     cols = [f.column(j) for j in range(f.source.rank)]
-    a, b = _element_system(f.target, cols, y)
-    sol = solve_mod(a, b, f.source.ring.modulus)
+    n = f.source.ring.modulus
+    sol = solve_mod(*_element_system(n, f.target.invariant_factors, cols, y), n)
     if sol is None:
         return None
     return f.source.reduce(sol)
@@ -556,28 +552,28 @@ def is_automorphism(f: ModuleMorphism) -> bool:
 # factorization solvers
 # ---------------------------------------------------------------------------
 
+def _left_factor_system(g: ModuleMorphism, dq: int,
+                        y: Sequence[int]) -> tuple[IntMatrix, list[int]]:
+    """x in g.source with g(x) == y and dq * x == 0: the congruences of g
+    mod the target factors, then one annihilation row per source factor."""
+    src = g.source
+    cols = [g.column(p) + tuple(dq if pp == p else 0 for pp in range(src.rank))
+            for p in range(src.rank)]
+    return _element_system(src.ring.modulus,
+                           g.target.invariant_factors + src.invariant_factors,
+                           cols, tuple(y) + (0,) * src.rank)
+
+
 @lru_cache(maxsize=None)
 def _lift_column(g: ModuleMorphism, dq: int, y: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """Some x in g.source with g(x) == y and dq * x == 0, or None.
+    """The lexicographically lowest x in g.source with g(x) == y and
+    dq * x == 0, or None.
 
     Cached: probe sweeps re-solve the same (morphism, order, column) triples
     constantly.  A solution is checked against both equations before it is
     cached, so every returned x is verified once per distinct triple.
     """
-    n = g.source.ring.modulus
-    p_fac = g.source.invariant_factors
-    pr = g.source.rank
-    rows = []
-    rhs = []
-    for i, ei in enumerate(g.target.invariant_factors):
-        s = n // ei
-        rows.append([s * g.matrix[i][p] for p in range(pr)])
-        rhs.append(s * y[i])
-    for p, dp in enumerate(p_fac):
-        s = (n // dp) * dq
-        rows.append([s if pp == p else 0 for pp in range(pr)])
-        rhs.append(0)
-    sol = solve_mod(IntMatrix.from_rows(rows, cols=pr), rhs, n)
+    sol = solve_mod(*_left_factor_system(g, dq, y), g.source.ring.modulus)
     if sol is None:
         return None
     x = g.source.reduce(sol)
@@ -607,20 +603,9 @@ def solve_left_factor(g: ModuleMorphism, psi: ModuleMorphism) -> Optional[Module
 
 @lru_cache(maxsize=None)
 def _kernel_column_gens(g: ModuleMorphism, dq: int) -> tuple[tuple[int, ...], ...]:
-    from .exact_linalg import solution_space_mod
-
-    n = g.source.ring.modulus
-    p_fac = g.source.invariant_factors
-    pr = g.source.rank
-    rows = []
-    for i, ei in enumerate(g.target.invariant_factors):
-        s = n // ei
-        rows.append([s * g.matrix[i][p] for p in range(pr)])
-    for p, dp in enumerate(p_fac):
-        s = (n // dp) * dq
-        rows.append([s if pp == p else 0 for pp in range(pr)])
-    gens = solution_space_mod(IntMatrix.from_rows(rows, cols=pr), n)
-    return tuple(g.source.reduce(v) for v in gens)
+    a, _ = _left_factor_system(g, dq, (0,) * g.target.rank)
+    gens = (g.source.reduce(v) for v in solution_space_mod(a, g.source.ring.modulus))
+    return tuple(x for x in gens if any(x))
 
 
 def left_factor_kernel_columns(g: ModuleMorphism, source: FiniteModule) -> list[list[tuple[int, ...]]]:
@@ -874,18 +859,14 @@ def is_direct_summand(sub: Submodule) -> Optional[ModuleMorphism]:
         return ModuleMorphism.zero_map(amb, k)
     n = amb.ring.modulus
     t = amb.rank
+    # unknown q is entry q of a row of r: r o emb == id on that row, and
+    # the row kills d_q * e_q
+    cols = [emb.matrix[q] + tuple(dq if qq == q else 0 for qq in range(t))
+            for q, dq in enumerate(amb.invariant_factors)]
     rows_out = []
     for i, ki in enumerate(k.invariant_factors):
-        s = n // ki
-        rows = []
-        rhs = []
-        for l in range(k.rank):
-            rows.append([s * emb.matrix[q][l] for q in range(t)])
-            rhs.append(s * (1 if l == i else 0))
-        for q, dq in enumerate(amb.invariant_factors):
-            rows.append([s * dq if qq == q else 0 for qq in range(t)])
-            rhs.append(0)
-        sol = solve_mod(IntMatrix.from_rows(rows, cols=t), rhs, n)
+        rhs = [1 if l == i else 0 for l in range(k.rank)] + [0] * t
+        sol = solve_mod(*_element_system(n, [ki] * (k.rank + t), cols, rhs), n)
         if sol is None:
             return None
         rows_out.append(sol)

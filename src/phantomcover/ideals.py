@@ -16,13 +16,14 @@ from math import gcd
 from typing import Optional
 
 from .errors import InputError, InternalConsistencyError
-from .exact_linalg import IntMatrix, solve_mod
+from .exact_linalg import solve_mod
 from .finmod import (
     Colimit,
     Diagram,
     FiniteModule,
     ModuleMorphism,
     Ring,
+    _element_system,
     colimit_mediating,
     compose,
     directed_colimit,
@@ -204,23 +205,13 @@ def ideal_membership(ideal: MorphismIdeal, f: ModuleMorphism) -> bool:
 
 
 def _hom_subgroup_contains(span: list[ModuleMorphism], f: ModuleMorphism) -> bool:
-    """Is f in the subgroup of Hom(source, target) generated by span?"""
-    if not span:
-        return f.is_zero
+    """Is f in the subgroup of Hom(source, target) generated by span?
+    Entry (i, j) is one congruence mod the target factor e_i."""
     n = f.source.ring.modulus
-    tfac = f.target.invariant_factors
-    srank = f.source.rank
-    rows = []
-    rhs = []
-    for i, ei in enumerate(tfac):
-        scale = n // ei
-        for j in range(srank):
-            rows.append([scale * g.matrix[i][j] for g in span])
-            rhs.append(scale * f.matrix[i][j])
-    if not rows:
-        return True
-    sol = solve_mod(IntMatrix.from_rows(rows, cols=len(span)), rhs, n)
-    return sol is not None
+    moduli = [ei for ei in f.target.invariant_factors for _ in range(f.source.rank)]
+    cols = [[x for row in g.matrix for x in row] for g in span]
+    rhs = [x for row in f.matrix for x in row]
+    return solve_mod(*_element_system(n, moduli, cols, rhs), n) is not None
 
 
 @dataclass(frozen=True)

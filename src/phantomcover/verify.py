@@ -33,6 +33,7 @@ from .finmod import (
     ModuleMorphism,
     Ring,
     Submodule,
+    _element_system,
     compose,
     direct_sum,
     directed_colimit,
@@ -149,13 +150,9 @@ def prop_solve_mod_exhaustive(chk, rng, ring):
     b = [rng.randrange(n) for _ in range(a.rows)]
     got = solve_mod(a, b, n)
     brute = _oracles.exhaustive_solve_mod(a, b, n)
-    if not chk.ensure((got is None) == (brute is None),
-                      f"solver / exhaustive disagreement on {a.entries} = {b} mod {n}"):
-        return
-    if got is not None:
-        ok = all(sum(a.at(i, j) * got[j] for j in range(a.cols)) % n == b[i]
-                 for i in range(a.rows))
-        chk.ensure(ok and all(0 <= x < n for x in got), "witness does not satisfy system")
+    chk.ensure(got == brute,
+               f"solver gave {got}, lowest solution is {brute}, "
+               f"on {a.entries} = {b} mod {n}")
 
 
 def prop_solution_space_exhaustive(chk, rng, ring):
@@ -197,21 +194,15 @@ def _mediating_by_solver(po, a, b):
     x = po.module
     c_mod = a.target
     n = x.ring.modulus
+    # unknown q is entry q of a row of m: m o u' == a and m o v' == b on
+    # that row, and the row kills d_q * e_q
+    cols = [po.u_prime.matrix[q] + po.v_prime.matrix[q]
+            + tuple(dq if qq == q else 0 for qq in range(x.rank))
+            for q, dq in enumerate(x.invariant_factors)]
     rows_out = []
     for i, ci in enumerate(c_mod.invariant_factors):
-        scale = n // ci
-        rows = []
-        rhs = []
-        for l in range(po.u_prime.source.rank):
-            rows.append([scale * po.u_prime.matrix[q][l] for q in range(x.rank)])
-            rhs.append(scale * a.matrix[i][l])
-        for l in range(po.v_prime.source.rank):
-            rows.append([scale * po.v_prime.matrix[q][l] for q in range(x.rank)])
-            rhs.append(scale * b.matrix[i][l])
-        for q, dq in enumerate(x.invariant_factors):
-            rows.append([scale * dq if qq == q else 0 for qq in range(x.rank)])
-            rhs.append(0)
-        sol = solve_mod(IntMatrix.from_rows(rows, cols=x.rank), rhs, n)
+        rhs = a.matrix[i] + b.matrix[i] + (0,) * x.rank
+        sol = solve_mod(*_element_system(n, [ci] * len(rhs), cols, rhs), n)
         if sol is None:
             return None
         rows_out.append(sol)

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from phantomcover import cli, exact_linalg, finmod
+from phantomcover import cli, exact_linalg
 from phantomcover.cli import main
+from phantomcover.errors import InternalConsistencyError
 
 DEMO = """\
 [manifest] version=1
@@ -197,6 +198,24 @@ def test_input_error_exit_code(capsys):
     assert main(["check-phantom", "--input", "/nonexistent", "--morphism", "x"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-phantom", "--morphism", "x"],
+    ["verify-filtration"],
+])
+def test_undecodable_input_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe")
+    assert main(argv + ["--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error=input detail=cannot read {path}: ")
+
+
+def test_unwritable_output_is_an_input_error(demo, tmp_path, capsys):
+    out = tmp_path / "missing" / "cover.txt"
+    assert main(["phantom-cover", "--input", demo, "--module", "two",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error=input detail=cannot write {out}: ")
+
+
 def test_internal_consistency_exit_code(tmp_path, capsys):
     # retract against a morphism that is only a precover: the violated cover
     # property is an internal consistency event, exit code 3
@@ -222,16 +241,20 @@ def test_unexpected_exception_exit_code(demo, capsys, monkeypatch):
     assert capsys.readouterr().err == "error=unexpected detail=KeyError: 'boom'\n"
 
 
-def test_failed_annihilation_check_is_an_internal_error(demo, capsys, monkeypatch):
-    # a kernel generator that a does not annihilate reaches the cover
-    # test's self-factorization solve
-    monkeypatch.setattr(exact_linalg, "integer_kernel_basis",
-                        lambda a: [[1] + [0] * (a.cols - 1)])
-    finmod._kernel_column_gens.cache_clear()
-    assert main(["cover", "--input", demo, "--morphism", "covermap",
-                 "--size-bound", "16"]) == 3
-    assert capsys.readouterr().err == (
-        "error=internal-consistency detail=kernel generator fails annihilation check\n")
+def test_failed_annihilation_check_is_an_internal_error(monkeypatch):
+    # a graph-form row leading in the solution half that a does not
+    # annihilate; through the whole solver the lift check would trip first
+    real = exact_linalg.howell_form
+
+    def bogus(rows, n, width):
+        h = real(rows, n, width)
+        return exact_linalg.HowellForm(n, width, h.rows + ((0,) * (width - 1) + (1,),),
+                                       h.pivots + (width - 1,))
+
+    monkeypatch.setattr(exact_linalg, "howell_form", bogus)
+    with pytest.raises(InternalConsistencyError,
+                       match="kernel generator fails annihilation check"):
+        exact_linalg.solution_space_mod(exact_linalg.IntMatrix.from_rows([[1]]), 4)
 
 
 def test_console_script_runs():

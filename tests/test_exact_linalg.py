@@ -10,7 +10,6 @@ from phantomcover.exact_linalg import (
     smith_normal_form,
     solution_space_mod,
     solve_mod,
-    solve_z,
 )
 from phantomcover.oracles import (
     additive_closure_mod,
@@ -114,14 +113,8 @@ def test_solve_mod_dimension_mismatch():
        st.lists(st.integers(-8, 8), min_size=4, max_size=4))
 def test_solve_mod_matches_exhaustive(a, n, raw_b):
     b = [raw_b[i] % n for i in range(a.rows)]
-    got = solve_mod(a, b, n)
-    brute = exhaustive_solve_mod(a, b, n)
-    assert (got is None) == (brute is None)
-    if got is not None:
-        assert all(0 <= x < n for x in got)
-        assert all(
-            sum(a.at(i, j) * got[j] for j in range(a.cols)) % n == b[i]
-            for i in range(a.rows))
+    # the solver returns the lexicographically lowest solution
+    assert solve_mod(a, b, n) == exhaustive_solve_mod(a, b, n)
 
 
 def test_solution_space_examples():
@@ -145,15 +138,3 @@ def test_integer_kernel_annihilates(a):
     for vec in integer_kernel_basis(a):
         assert all(sum(a.at(i, j) * vec[j] for j in range(a.cols)) == 0
                    for i in range(a.rows))
-
-
-@settings(max_examples=80, deadline=None)
-@given(matrices(max_dim=4, lo=-6, hi=6),
-       st.lists(st.integers(-4, 4), min_size=4, max_size=4))
-def test_solve_z_solutions_check_out(a, raw):
-    x0 = raw[:a.cols]
-    b = [sum(a.at(i, j) * x0[j] for j in range(a.cols)) for i in range(a.rows)]
-    got = solve_z(a, b)
-    assert got is not None
-    assert all(sum(a.at(i, j) * got[j] for j in range(a.cols)) == b[i]
-               for i in range(a.rows))

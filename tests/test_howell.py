@@ -1,11 +1,12 @@
 """Cross-checks of the Howell-form subgroup routes against the enumeration
 oracles: membership, cardinality, subgroup equality, the filtration's lowest
-fresh element, and the purification witness with its lowest preimage."""
+fresh element, the purification witness with its lowest preimage, and the
+lowest solutions of the element and left-factor solvers."""
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import elements, modules, rings, submodules
+from conftest import elements, modules, morphisms, rings, submodules
 from phantomcover.exact_linalg import howell_form
 from phantomcover.filtration import _fresh_element
 from phantomcover.finmod import (
@@ -15,8 +16,11 @@ from phantomcover.finmod import (
     Submodule,
     _lowest_scalar_preimage,
     _purification_witness,
+    compose,
+    element_preimage,
     pure_closure_counted,
     same_subgroup,
+    solve_left_factor,
 )
 from phantomcover.oracles import (
     additive_closure_mod,
@@ -182,3 +186,46 @@ def test_fresh_element_on_full_and_zero_steps():
     rep = RepA2.from_morphism(ModuleMorphism.identity(m))
     assert _fresh_element(rep, SubRep.full(rep)) is None
     assert _fresh_element(rep, SubRep.zero(rep)) == (1, (0, 1))
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solvers_return_the_lowest_solution(data):
+    ring = data.draw(rings(moduli=MODULI))
+    src = data.draw(modules(ring, max_card=64))
+    tgt = data.draw(modules(ring, max_card=64))
+    f = data.draw(morphisms(src, tgt))
+    # half the draws are solvable by construction
+    solvable = data.draw(st.booleans())
+    y = f.apply(data.draw(elements(src))) if solvable else data.draw(elements(tgt))
+    lowest = next((x for x in src.elements() if f.apply(x) == y), None)
+    assert element_preimage(f, y) == lowest
+
+    q = data.draw(modules(ring, max_card=16, max_rank=2))
+    if solvable:
+        psi = compose(f, data.draw(morphisms(q, src)))
+    else:
+        psi = data.draw(morphisms(q, tgt))
+    columns = [next((x for x in src.elements()
+                     if f.apply(x) == psi.column(k) and not any(src.smul(dk, x))), None)
+               for k, dk in enumerate(q.invariant_factors)]
+    j = solve_left_factor(f, psi)
+    if None in columns:
+        assert j is None
+    else:
+        assert [j.column(k) for k in range(q.rank)] == columns
+
+
+def test_lowest_lift_is_killed_by_the_column_order():
+    ring = Ring(4)
+    two = FiniteModule(ring, (2,))
+    # Z/2 + Z/4 onto Z/2 by (1, 1): (0, 1) is the lowest preimage of 1,
+    # but 2 * (0, 1) != 0, so the lowest lift of the identity of Z/2 is (1, 0)
+    g = ModuleMorphism(FiniteModule(ring, (2, 4)), two, ((1, 1),))
+    assert element_preimage(g, (1,)) == (0, 1)
+    assert solve_left_factor(g, ModuleMorphism.identity(two)).matrix == ((1,), (0,))
+    # Z/4 onto Z/2: 1 and 3 map to 1 and neither is killed by 2, so no lift
+    g = ModuleMorphism(FiniteModule(ring, (4,)), two, ((1,),))
+    assert element_preimage(g, (1,)) == (1,)
+    assert solve_left_factor(g, ModuleMorphism.identity(two)) is None
