@@ -62,6 +62,7 @@ from .approx import (
     phantom_probe_set,
     projective_cover,
     pushout_transport,
+    universal_maps,
 )
 from .filtration import (
     Filtration,

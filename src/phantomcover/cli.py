@@ -2,7 +2,8 @@
 
 Commands operate on manifest files and print machine-readable key=value
 records to stdout; objects produced by a command are written as a manifest
-to --output when given.  Exit codes: 0 ok, 1 property/verification failure,
+to --output when given, before any record is printed, so a failed write
+leaves nothing on stdout.  Exit codes: 0 ok, 1 property/verification failure,
 2 input error, 3 internal consistency violation or any other unexpected
 exception.
 """
@@ -81,18 +82,19 @@ def cmd_check_phantom(args) -> int:
     man = _read_manifest(args.input)
     f = _lookup(man.morphisms, args.morphism, "morphism")
     fact = factors_through_projective(f)
-    print(f"command=check-phantom morphism={args.morphism}")
     if fact is None:
+        print(f"command=check-phantom morphism={args.morphism}")
         print("phantom=false")
         print("certificate=no-lift-through-free-cover "
               f"free_cover_rank={f.target.rank}")
         return EXIT_OK
-    print("phantom=true")
     out = _manifest.Manifest(man.ring)
     out.add_morphism("into", fact.into)
     out.add_morphism("through", fact.through)
-    print(f"middle_factors={','.join(str(d) for d in fact.middle.invariant_factors)}")
     _write_output(args.output, _manifest.serialize(out))
+    print(f"command=check-phantom morphism={args.morphism}")
+    print("phantom=true")
+    print(f"middle_factors={','.join(str(d) for d in fact.middle.invariant_factors)}")
     return EXIT_OK
 
 
@@ -102,7 +104,7 @@ def cmd_precover(args) -> int:
     ideal = _ideal_from_flag(man.ring, args.ideal)
     if not ideal_membership(ideal, phi):
         raise InputError("the candidate morphism is not in the ideal")
-    probes = _approx.phantom_probe_set(phi.target, size_bound=args.size_bound)
+    probes = _approx.universal_maps(ideal, phi.target)
     res = _approx.is_precover(ideal, phi, probes)
     print(f"command=precover morphism={args.morphism} probes={len(probes)}")
     print(f"precover={'true' if res.holds else 'false'}")
@@ -120,13 +122,9 @@ def cmd_cover(args) -> int:
     ideal = _ideal_from_flag(man.ring, args.ideal)
     if not ideal_membership(ideal, phi):
         raise InputError("the candidate morphism is not in the ideal")
-    probes = _approx.phantom_probe_set(phi.target, size_bound=args.size_bound)
-    verdict = _approx.is_cover(ideal, phi, probes, endo_limit=args.endo_limit)
+    probes = _approx.universal_maps(ideal, phi.target)
+    verdict = _approx.is_cover(ideal, phi, probes)
     print(f"command=cover morphism={args.morphism} probes={len(probes)}")
-    if verdict is None:
-        print("cover=indeterminate")
-        print(f"endo_limit={args.endo_limit}")
-        return EXIT_FAILURE
     print(f"cover={'true' if verdict else 'false'}")
     return EXIT_OK if verdict else EXIT_FAILURE
 
@@ -135,14 +133,14 @@ def cmd_phantom_cover(args) -> int:
     man = _read_manifest(args.input)
     m = _lookup(man.modules, args.module, "module")
     phi = _approx.phantom_cover(m)
+    out = _manifest.Manifest(man.ring)
+    out.add_morphism("phantom_cover", phi)
+    _write_output(args.output, _manifest.serialize(out))
     print(f"command=phantom-cover module={args.module}")
     print("cover_source="
           + ",".join(str(d) for d in phi.source.invariant_factors))
     print(f"cover_rows={_matrix_field(phi)}")
     print(f"surjective={'true' if is_surjective(phi) else 'false'}")
-    out = _manifest.Manifest(man.ring)
-    out.add_morphism("phantom_cover", phi)
-    _write_output(args.output, _manifest.serialize(out))
     return EXIT_OK
 
 
@@ -151,16 +149,16 @@ def cmd_pushout_transport(args) -> int:
     phi = _lookup(man.morphisms, args.phi, "morphism")
     v = _lookup(man.morphisms, args.mono, "morphism")
     res = _approx.pushout_transport(phi, v)
-    print(f"command=pushout-transport phi={args.phi} v={args.mono}")
-    print("pushout_factors="
-          + ",".join(str(d) for d in res.module.invariant_factors))
-    print(f"phi_prime_rows={_matrix_field(res.phi_prime)}")
-    print("phantom=true")
     out = _manifest.Manifest(man.ring)
     out.add_morphism("phi_prime", res.phi_prime)
     out.add_morphism("u_prime", res.u_prime)
     out.add_morphism("v_prime", res.v_prime)
     _write_output(args.output, _manifest.serialize(out))
+    print(f"command=pushout-transport phi={args.phi} v={args.mono}")
+    print("pushout_factors="
+          + ",".join(str(d) for d in res.module.invariant_factors))
+    print(f"phi_prime_rows={_matrix_field(res.phi_prime)}")
+    print("phantom=true")
     return EXIT_OK
 
 
@@ -169,12 +167,12 @@ def cmd_retract(args) -> int:
     phi = _lookup(man.morphisms, args.phi, "morphism")
     v = _lookup(man.morphisms, args.mono, "morphism")
     r = _approx.extract_retract(phi, v)
-    print(f"command=retract phi={args.phi} v={args.mono}")
-    print(f"retraction_rows={_matrix_field(r)}")
-    print("retraction_check=ok")
     out = _manifest.Manifest(man.ring)
     out.add_morphism("retraction", r)
     _write_output(args.output, _manifest.serialize(out))
+    print(f"command=retract phi={args.phi} v={args.mono}")
+    print(f"retraction_rows={_matrix_field(r)}")
+    print("retraction_check=ok")
     return EXIT_OK
 
 
@@ -183,12 +181,12 @@ def cmd_filtrate(args) -> int:
     rep = _lookup(man.reps, args.rep, "rep")
     cfg = _filtration.FiltrationConfig(kappa=args.kappa)
     filt = _filtration.build_filtration(rep, cfg)
+    _write_output(args.output, _manifest.serialize_filtration(man, filt, cfg))
     print(f"command=filtrate rep={args.rep} kappa={args.kappa}")
     print(f"length={filt.length}")
     for i, report in enumerate(filt.reports):
         print(f"step={i} q1={report.quotient_card_m1} q2={report.quotient_card_m2} "
               f"witnesses={report.witnesses} b1={report.bound_m1} b2={report.bound_m2}")
-    _write_output(args.output, _manifest.serialize_filtration(man, filt, cfg))
     return EXIT_OK
 
 
@@ -206,15 +204,15 @@ def cmd_counterexample_ext(args) -> int:
     f = _lookup(man.morphisms, args.morphism, "morphism")
     ideal = _ideal_from_flag(man.ring, args.ideal)
     res = _rep_a2.extension_counterexample(ideal, f)
+    out = _manifest.Manifest(man.ring)
+    out.add_rep("middle", res.middle)
+    out.add_rep("quotient", res.quotient)
+    _write_output(args.output, _manifest.serialize(out))
     print(f"command=counterexample-ext morphism={args.morphism} ideal={args.ideal}")
     print(f"middle_rows={_matrix_field(res.middle.f)}")
     print(f"middle_in_class={'true' if res.middle_in_class else 'false'}")
     print(f"sub_in_class={'true' if res.sub_in_class else 'false'}")
     print(f"quotient_in_class={'true' if res.quotient_in_class else 'false'}")
-    out = _manifest.Manifest(man.ring)
-    out.add_rep("middle", res.middle)
-    out.add_rep("quotient", res.quotient)
-    _write_output(args.output, _manifest.serialize(out))
     return EXIT_OK
 
 
@@ -228,25 +226,25 @@ def cmd_colimit(args) -> int:
     steps = [_lookup(man.repmaps, nm, "repmap") for nm in map_names]
     diagram = _rep_a2.RepDiagram.chain(reps, steps)
     col = _rep_a2.rep_colimit(diagram)
+    out = _manifest.Manifest(man.ring)
+    out.add_rep("colimit", col.rep)
+    _write_output(args.output, _manifest.serialize(out))
     print(f"command=colimit chain={args.chain}")
     print("m1_factors=" + ",".join(str(d) for d in col.rep.m1.invariant_factors))
     print("m2_factors=" + ",".join(str(d) for d in col.rep.m2.invariant_factors))
     print(f"f_rows={_matrix_field(col.rep.f)}")
-    out = _manifest.Manifest(man.ring)
-    out.add_rep("colimit", col.rep)
-    _write_output(args.output, _manifest.serialize(out))
     return EXIT_OK
 
 
 def cmd_random_rep(args) -> int:
     ring = Ring(args.ring)
     rep = random_phantom_rep(args.seed, ring, args.size_bound)
-    print(f"command=random-rep seed={args.seed} ring={args.ring} "
-          f"size_bound={args.size_bound}")
-    print(f"cardinality={rep.cardinality}")
     out = _manifest.Manifest(ring)
     out.add_rep("sampled", rep)
     _write_output(args.output, _manifest.serialize(out))
+    print(f"command=random-rep seed={args.seed} ring={args.ring} "
+          f"size_bound={args.size_bound}")
+    print(f"cardinality={rep.cardinality}")
     return EXIT_OK
 
 
@@ -289,19 +287,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--morphism", required=True)
     p.set_defaults(fn=cmd_check_phantom)
 
+    ignored = "accepted and ignored: the verdict is exact"
+
     p = sub.add_parser("precover", help="test the precover property")
     with_io(p, output=False)
     p.add_argument("--morphism", required=True)
     p.add_argument("--ideal", default="phantom")
-    p.add_argument("--size-bound", type=int, default=256)
+    p.add_argument("--size-bound", type=int, help=ignored)
     p.set_defaults(fn=cmd_precover)
 
     p = sub.add_parser("cover", help="test the cover property")
     with_io(p, output=False)
     p.add_argument("--morphism", required=True)
     p.add_argument("--ideal", default="phantom")
-    p.add_argument("--size-bound", type=int, default=256)
-    p.add_argument("--endo-limit", type=int, default=_approx.DEFAULT_ENDO_LIMIT)
+    p.add_argument("--size-bound", type=int, help=ignored)
+    p.add_argument("--endo-limit", type=int, help=ignored)
     p.set_defaults(fn=cmd_cover)
 
     p = sub.add_parser("phantom-cover", help="construct the phantom cover")

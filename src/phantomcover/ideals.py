@@ -93,18 +93,6 @@ def economical_projective_factorization(f: ModuleMorphism) -> Optional[Projectiv
     return ProjectiveFactorization(middle, into, through)
 
 
-def phantom_probes(m: FiniteModule) -> tuple[ModuleMorphism, ...]:
-    """Probe maps into m: generators of Hom(Z/d, m) for each divisor d of n,
-    plus the identity.  Sums of probes are covered because maps that factor
-    through projectives form a subgroup."""
-    probes = [ModuleMorphism.identity(m)]
-    for d in m.ring.divisors():
-        if d == 1:
-            continue
-        probes.extend(hom_group(FiniteModule.cyclic(m.ring, d), m))
-    return tuple(probes)
-
-
 def is_phantom(f: ModuleMorphism) -> bool:
     """Phantom test by columns: f factors through a projective iff column q
     lies in (n / d_q) * target for every source invariant factor d_q.  In the

@@ -9,8 +9,8 @@ from math import gcd
 from typing import Optional
 
 from .exact_linalg import IntMatrix, determinant
-from .finmod import FiniteModule, ModuleMorphism, Submodule, compose
-from .ideals import factors_through_projective, phantom_probes
+from .finmod import FiniteModule, ModuleMorphism, Submodule, compose, hom_group
+from .ideals import factors_through_projective
 
 
 def minor_gcd_diagonal(a: IntMatrix) -> tuple[int, ...]:
@@ -99,6 +99,28 @@ def hom_count(m: FiniteModule, n: FiniteModule) -> int:
         for dj in m.invariant_factors:
             total *= gcd(dj, ei)
     return total
+
+
+def right_minimal_by_enumeration(phi: ModuleMorphism) -> bool:
+    """Every j in End(phi.source) with phi o j == phi is an automorphism,
+    by walking the whole endomorphism ring and testing injectivity on the
+    elements."""
+    x = phi.source
+    elts = list(x.elements())
+    return all(len({j.apply(e) for e in elts}) == len(elts)
+               for j in exhaustive_homs(x, x) if compose(phi, j) == phi)
+
+
+def phantom_probes(m: FiniteModule) -> tuple[ModuleMorphism, ...]:
+    """Probe maps into m: generators of Hom(Z/d, m) for each divisor d of n,
+    plus the identity.  Sums of probes are covered because maps that factor
+    through projectives form a subgroup."""
+    probes = [ModuleMorphism.identity(m)]
+    for d in m.ring.divisors():
+        if d == 1:
+            continue
+        probes.extend(hom_group(FiniteModule.cyclic(m.ring, d), m))
+    return tuple(probes)
 
 
 def phantom_by_probes(f: ModuleMorphism) -> bool:

@@ -414,7 +414,12 @@ def prop_phantom_cover_full(chk, rng, ring, probe_bound=256):
         chk.fail("a phantom probe does not factor through the cover",
                  target=m, probe=pre.failing_probe)
         return
-    verdict = _approx.is_cover(phant, phi, probes)
+    universal = _approx.universal_maps(phant, m)
+    if not _approx.is_precover(phant, phi, universal).holds:
+        chk.fail("the universal-map precover verdict disagrees with the probe sweep",
+                 target=m)
+        return
+    verdict = _approx.is_cover(phant, phi, universal)
     chk.ensure(verdict is True, f"cover verdict {verdict}", target=m)
 
 

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import modules, morphisms, pure_monos_from, rings
+from conftest import arbitrary_morphisms, modules, morphisms, pure_monos_from, rings
 from phantomcover.approx import (
     extract_retract,
     is_cover,
@@ -12,6 +12,7 @@ from phantomcover.approx import (
     phantom_probe_set,
     projective_cover,
     pushout_transport,
+    universal_maps,
 )
 from phantomcover.errors import InputError
 from phantomcover.finmod import (
@@ -20,6 +21,7 @@ from phantomcover.finmod import (
     Ring,
     compose,
     direct_sum,
+    hom_group,
     is_automorphism,
     is_projective,
     is_surjective,
@@ -27,8 +29,10 @@ from phantomcover.finmod import (
     solve_left_factor,
 )
 from phantomcover.ideals import MorphismIdeal, is_phantom
+from phantomcover.oracles import hom_count, right_minimal_by_enumeration
 
 Z4 = Ring(4)
+Z8 = Ring(8)
 Z12 = Ring(12)
 
 
@@ -89,12 +93,58 @@ def test_projective_cover_is_cover():
     assert is_cover(MorphismIdeal.phantom(Z4), phi, probes) is True
 
 
-def test_cover_indeterminate_above_limit():
-    # a non-radical self-factorization direction defeats the fast path, and
-    # with a tiny enumeration limit the verdict must be indeterminate
+def test_cover_rejects_non_radical_self_factorization():
+    # h = (x, y) -> (0, y) has phi o h == 0 and entry (1, 1) a unit between
+    # equal-exponent summands, so id - h is a non-injective self-factorization
     big = mod(Z4, 4, 4)
     phi = morph(big, mod(Z4, 2), [[1, 0]])
-    assert is_cover(MorphismIdeal.phantom(Z4), phi, [phi], endo_limit=1) is None
+    assert is_cover(MorphismIdeal.phantom(Z4), phi, [phi]) is False
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_morphisms(max_card=16))
+@example(morph(mod(Z4, 4, 4), mod(Z4, 2), [[1, 0]]))
+@example(morph(mod(Z4, 4), mod(Z4, 2), [[1]]))
+@example(morph(mod(Z8, 2, 8), mod(Z8, 2, 4), [[0, 0], [2, 1]]))
+def test_cover_radical_test_matches_enumeration(phi):
+    # with phi itself as the only probe the precover half holds, so is_cover
+    # is the radical test alone; in the last example a kernel direction has
+    # a unit entry between summands of different exponent, which is radical
+    assume(hom_count(phi.source, phi.source) <= 4096)
+    hom = MorphismIdeal.full_hom(phi.source.ring)
+    assert is_cover(hom, phi, [phi]) == right_minimal_by_enumeration(phi)
+
+
+def _sweep(ideal, m, bound):
+    """Generators of every member of the ideal into m from the module
+    classes of cardinality at most bound."""
+    if ideal.kind == "phantom":
+        return phantom_probe_set(m, size_bound=bound)
+    classes = module_classes(m.ring, bound)
+    if ideal.kind == "hom":
+        return [h for x in classes for h in hom_group(x, m)]
+    return [compose(h, compose(g, t)) for g in ideal.generators for x in classes
+            for t in hom_group(x, g.source) for h in hom_group(g.target, m)]
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_universal_maps_match_the_sweep(data):
+    ring = data.draw(rings(moduli=(2, 3, 4, 6, 8)))
+    m = data.draw(modules(ring, max_card=8, max_rank=2))
+    assume(not m.is_zero)
+    g = data.draw(morphisms(data.draw(modules(ring, max_card=8, max_rank=2)), m))
+    ideals = [MorphismIdeal.phantom(ring), MorphismIdeal.full_hom(ring),
+              MorphismIdeal.zero(ring), MorphismIdeal.generated_by([g])]
+    # the sweep reaches the sources of the universal maps
+    bound = max(ring.modulus ** m.rank, g.source.cardinality)
+    y = data.draw(modules(ring, max_card=8, max_rank=2))
+    phi = data.draw(st.one_of(morphisms(y, m), st.just(projective_cover(m))))
+    for ideal in ideals:
+        exact = is_precover(ideal, phi, universal_maps(ideal, m)).holds
+        assert exact == is_precover(ideal, phi, _sweep(ideal, m, bound)).holds, ideal
 
 
 def test_projective_cover_examples():
@@ -145,7 +195,7 @@ def test_phantom_cover_is_surjective_phantom_cover(data):
     probes = phantom_probe_set(m, size_bound=16)
     phant = MorphismIdeal.phantom(ring)
     assert is_precover(phant, phi, probes).holds
-    assert is_cover(phant, phi, probes) in (True, None)
+    assert is_cover(phant, phi, probes) is True
 
 
 @settings(max_examples=20, deadline=None)

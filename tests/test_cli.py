@@ -213,7 +213,63 @@ def test_unwritable_output_is_an_input_error(demo, tmp_path, capsys):
     out = tmp_path / "missing" / "cover.txt"
     assert main(["phantom-cover", "--input", demo, "--module", "two",
                  "--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error=input detail=cannot write {out}: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error=input detail=cannot write {out}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-phantom", "--input", "DEMO", "--morphism", "covermap"],
+    ["pushout-transport", "--input", "DEMO", "--phi", "covermap", "--mono", "puremono"],
+    ["retract", "--input", "DEMO", "--phi", "covermap", "--mono", "puremono"],
+    ["filtrate", "--input", "DEMO", "--rep", "bigrep", "--kappa", "4"],
+    ["counterexample-ext", "--input", "DEMO", "--morphism", "ident2"],
+    ["colimit", "--input", "DEMO", "--chain", "bigrep"],
+    ["random-rep", "--ring", "4", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_prints_no_records(demo, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.txt"
+    argv = [demo if a == "DEMO" else a for a in argv]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+HOM_DEMO = """\
+[manifest] version=1
+[ring] n=4
+[module four] factors=4
+[module two] factors=2
+[morphism pi] from=four to=two rows=1
+"""
+
+
+def test_hom_ideal_precover_and_cover_are_exact(tmp_path, capsys):
+    # id_{Z/2} is in the hom ideal and does not factor through pi: every
+    # map Z/2 -> Z/4 lands in 2 * Z/4, which pi kills
+    path = tmp_path / "hom.txt"
+    path.write_text(HOM_DEMO, encoding="utf-8")
+    base = ["--input", str(path), "--morphism", "pi"]
+    code, out = run(["precover", "--ideal", "hom"] + base, capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert "probes=1" in lines[0]
+    assert "precover=false" in lines and "failing_probe_rows=1" in lines
+    code, out = run(["cover", "--ideal", "hom"] + base, capsys)
+    assert code == 1 and "cover=false" in out.splitlines()
+    code, out = run(["precover", "--ideal", "phantom"] + base, capsys)
+    assert code == 0 and "precover=true" in out.splitlines()
+    code, out = run(["cover", "--ideal", "phantom"] + base, capsys)
+    assert code == 0 and "cover=true" in out.splitlines()
+
+
+def test_precover_and_cover_ignore_the_sweep_knobs(tmp_path, capsys):
+    path = tmp_path / "hom.txt"
+    path.write_text(HOM_DEMO, encoding="utf-8")
+    base = ["--input", str(path), "--morphism", "pi", "--ideal", "hom"]
+    plain = [run(["precover"] + base, capsys), run(["cover"] + base, capsys)]
+    knobs = [run(["precover", "--size-bound", "1"] + base, capsys),
+             run(["cover", "--size-bound", "1", "--endo-limit", "1"] + base, capsys)]
+    assert knobs == plain
 
 
 def test_internal_consistency_exit_code(tmp_path, capsys):
