@@ -37,7 +37,6 @@ from .ideals import (
     MorphismIdeal,
     SystemMorphism,
     closed_under_direct_limits_check,
-    economical_projective_factorization,
     factors_through_projective,
     ideal_membership,
     is_phantom,

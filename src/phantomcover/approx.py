@@ -15,6 +15,7 @@ from .finmod import (
     FiniteModule,
     ModuleMorphism,
     Ring,
+    Submodule,
     compose,
     factorize,
     hom_group,
@@ -29,6 +30,7 @@ from .finmod import (
     pushout,
     pushout_mediating,
     solve_left_factor,
+    torsion_image,
 )
 from .ideals import _HOM, _PHANTOM, MorphismIdeal, free_cover_epi, is_phantom
 
@@ -99,16 +101,30 @@ class PrecoverResult:
 
 def is_precover(ideal: MorphismIdeal, phi: ModuleMorphism,
                 probes: Sequence[ModuleMorphism]) -> PrecoverResult:
-    """Does every probe into phi's target factor through phi?
+    """Does every probe into phi's target factor through phi?  The first
+    probe that does not is returned.
 
-    Callers guarantee phi and the probes lie in the ideal; factorizations
-    are found by the hom-level linear solver.
+    Callers guarantee phi and the probes lie in the ideal.  Columns factor
+    independently: a column y of order d lifts through phi exactly when y
+    lies in `torsion_image(phi, d)`, so the test is subgroup membership and
+    no factorization is built.  The subgroup for each order and the verdict
+    for each (order, column) pair are memoized for this call only.
     """
+    images: dict[int, Submodule] = {}
+    verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
     for probe in probes:
         if probe.target != phi.target:
             raise InputError("probe does not land in the morphism's target")
-        if solve_left_factor(phi, probe) is None:
-            return PrecoverResult(False, probe)
+        for d, y in zip(probe.source.invariant_factors, zip(*probe.matrix)):
+            if not any(y):
+                continue
+            lifts = verdicts.get((d, y))
+            if lifts is None:
+                if d not in images:
+                    images[d] = torsion_image(phi, d)
+                lifts = verdicts[d, y] = images[d].contains(y)
+            if not lifts:
+                return PrecoverResult(False, probe)
     return PrecoverResult(True)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _iterproduct
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -249,15 +250,15 @@ class ModuleMorphism:
 
 
 def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
-    """g after f.  Matrix product reduced mod the target invariant factors."""
+    """g after f.  Matrix product reduced mod the target invariant factors,
+    each entry a dot product of a row of g with a column of f."""
     if f.target != g.source:
         raise InputError("compose: domain mismatch")
-    rows = []
-    for grow, ei in zip(g.matrix, g.target.invariant_factors):
-        rows.append(tuple(
-            sum(grow[k] * f.matrix[k][j] for k in range(f.target.rank)) % ei
-            for j in range(f.source.rank)))
-    return ModuleMorphism._trusted(f.source, g.target, tuple(rows))
+    # zip(*()) has no columns at all, so a rank-0 middle module gets empty ones
+    cols = tuple(zip(*f.matrix)) if f.matrix else ((),) * f.source.rank
+    return ModuleMorphism._trusted(f.source, g.target, tuple(
+        tuple(sum(map(mul, grow, col)) % ei for col in cols)
+        for grow, ei in zip(g.matrix, g.target.invariant_factors)))
 
 
 def hom_group(m: FiniteModule, n: FiniteModule) -> tuple[ModuleMorphism, ...]:
@@ -569,9 +570,11 @@ def _lift_column(g: ModuleMorphism, dq: int, y: tuple[int, ...]) -> Optional[tup
     """The lexicographically lowest x in g.source with g(x) == y and
     dq * x == 0, or None.
 
-    Cached: probe sweeps re-solve the same (morphism, order, column) triples
-    constantly.  A solution is checked against both equations before it is
-    cached, so every returned x is verified once per distinct triple.
+    Cached: retract chases and the suite's factorization checks lift the
+    same (morphism, order, column) triples repeatedly.  A solution is
+    checked against both equations before it is cached, so every returned x
+    is verified once per distinct triple.  Whether a lift exists at all is
+    the membership test `torsion_image(g, dq).contains(y)`.
     """
     sol = solve_mod(*_left_factor_system(g, dq, y), g.source.ring.modulus)
     if sol is None:
@@ -599,6 +602,18 @@ def solve_left_factor(g: ModuleMorphism, psi: ModuleMorphism) -> Optional[Module
         cols.append(sol)
     return ModuleMorphism._trusted(psi.source, g.source, tuple(
         tuple(col[i] for col in cols) for i in range(g.source.rank)))
+
+
+def torsion_image(g: ModuleMorphism, d: int) -> Submodule:
+    """g(X[d]) as a subgroup of g.target, X = g.source and X[d] its d-torsion.
+
+    X[d] is generated by (d_i / gcd(d_i, d)) e_i over the source factors
+    d_i, so a column y lifts through g to some x with d * x == 0, the
+    system `_lift_column` solves, exactly when y lies in this subgroup.
+    """
+    return Submodule(g.target, tuple(
+        tuple(c * (di // gcd(di, d)) for c in col)
+        for di, col in zip(g.source.invariant_factors, zip(*g.matrix))))
 
 
 @lru_cache(maxsize=None)

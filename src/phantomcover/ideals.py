@@ -4,9 +4,9 @@ set-generated ideals with decidable membership, and direct-limit closure.
 Over Z/n every finite module is finitely presented, so a morphism is phantom
 exactly when it factors through a projective module (Herzog, "The phantom
 cover of a module", 2007).  `is_phantom` decides this by a closed-form column
-test and reaches no solver; the free-cover lift and the economical
-factorization build certificates, and the cyclic-probe definition lives on in
-`oracles.phantom_by_probes` as a cross-check.
+test and reaches no solver; the free-cover lift builds the certificate, and
+the cyclic-probe definition and the economical factorization live on in
+`oracles` as cross-checks.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .errors import InputError, InternalConsistencyError
+from .errors import InputError
 from .exact_linalg import solve_mod
 from .finmod import (
     Colimit,
@@ -27,10 +27,8 @@ from .finmod import (
     colimit_mediating,
     compose,
     directed_colimit,
-    element_preimage,
     hom_group,
     indecomposable_projectives,
-    multiplication_map,
     solve_left_factor,
 )
 
@@ -63,34 +61,6 @@ def factors_through_projective(f: ModuleMorphism) -> Optional[ProjectiveFactoriz
     if j is None:
         return None
     return ProjectiveFactorization(pi.source, j, pi)
-
-
-def economical_projective_factorization(f: ModuleMorphism) -> Optional[ProjectiveFactorization]:
-    """Factorization through a free module of rank equal to the source rank,
-    with the through-image generated by one element per source generator.
-
-    Column q of f must lie in (n / d_q) * target, where d_q is the q-th
-    source invariant factor; this holds iff f factors through any projective
-    at all, so existence agrees with factors_through_projective.  Used where
-    the size of the through-image matters.
-    """
-    src, tgt = f.source, f.target
-    n = src.ring.modulus
-    middle = FiniteModule.free(src.ring, src.rank)
-    into_cols = []
-    through_cols = []
-    for q, dq in enumerate(src.invariant_factors):
-        scale = n // dq
-        into_cols.append([scale if p == q else 0 for p in range(src.rank)])
-        w = element_preimage(multiplication_map(tgt, scale), f.column(q))
-        if w is None:
-            return None
-        through_cols.append(w)
-    into = ModuleMorphism.from_columns(src, middle, into_cols)
-    through = ModuleMorphism.from_columns(middle, tgt, through_cols)
-    if compose(through, into) != f:
-        raise InternalConsistencyError("economical factorization does not compose to f")
-    return ProjectiveFactorization(middle, into, through)
 
 
 def is_phantom(f: ModuleMorphism) -> bool:

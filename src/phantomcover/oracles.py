@@ -1,6 +1,7 @@
 """Brute-force reference computations used by the verification suite and the
-test oracles.  Everything here proceeds by enumeration or determinant
-arithmetic and deliberately avoids the production algorithms it checks."""
+test oracles.  Everything here proceeds by enumeration, determinant
+arithmetic or a second route to the same answer, and deliberately avoids
+the production algorithm it checks."""
 
 from __future__ import annotations
 
@@ -8,9 +9,18 @@ from itertools import combinations, product
 from math import gcd
 from typing import Optional
 
+from .errors import InternalConsistencyError
 from .exact_linalg import IntMatrix, determinant
-from .finmod import FiniteModule, ModuleMorphism, Submodule, compose, hom_group
-from .ideals import factors_through_projective
+from .finmod import (
+    FiniteModule,
+    ModuleMorphism,
+    Submodule,
+    compose,
+    element_preimage,
+    hom_group,
+    multiplication_map,
+)
+from .ideals import ProjectiveFactorization, factors_through_projective
 
 
 def minor_gcd_diagonal(a: IntMatrix) -> tuple[int, ...]:
@@ -129,6 +139,34 @@ def phantom_by_probes(f: ModuleMorphism) -> bool:
     lifts through the free cover of the target."""
     return all(factors_through_projective(compose(f, g)) is not None
                for g in phantom_probes(f.source))
+
+
+def economical_projective_factorization(f: ModuleMorphism) -> Optional[ProjectiveFactorization]:
+    """Factorization through a free module of rank equal to the source rank,
+    with the through-image generated by one element per source generator.
+
+    Column q of f must lie in (n / d_q) * target, where d_q is the q-th
+    source invariant factor; this holds iff f factors through any projective
+    at all, so existence agrees with `ideals.is_phantom` and
+    `ideals.factors_through_projective`; the suite cross-checks all three.
+    """
+    src, tgt = f.source, f.target
+    n = src.ring.modulus
+    middle = FiniteModule.free(src.ring, src.rank)
+    into_cols = []
+    through_cols = []
+    for q, dq in enumerate(src.invariant_factors):
+        scale = n // dq
+        into_cols.append([scale if p == q else 0 for p in range(src.rank)])
+        w = element_preimage(multiplication_map(tgt, scale), f.column(q))
+        if w is None:
+            return None
+        through_cols.append(w)
+    into = ModuleMorphism.from_columns(src, middle, into_cols)
+    through = ModuleMorphism.from_columns(middle, tgt, through_cols)
+    if compose(through, into) != f:
+        raise InternalConsistencyError("economical factorization does not compose to f")
+    return ProjectiveFactorization(middle, into, through)
 
 
 def subgroup_elements(sub: Submodule) -> frozenset[tuple[int, ...]]:

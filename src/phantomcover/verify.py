@@ -293,7 +293,7 @@ def prop_phantom_oracle_equivalence(chk, rng, ring):
     via_columns = _ideals.is_phantom(f)
     routes = (("probes", _oracles.phantom_by_probes(f)),
               ("free-cover lift", _ideals.factors_through_projective(f) is not None),
-              ("economical", _ideals.economical_projective_factorization(f) is not None))
+              ("economical", _oracles.economical_projective_factorization(f) is not None))
     for route, verdict in routes:
         chk.ensure(via_columns == verdict,
                    f"is_phantom={via_columns} but {route}={verdict}", f=f)

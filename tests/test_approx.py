@@ -2,7 +2,14 @@ import pytest
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import arbitrary_morphisms, modules, morphisms, pure_monos_from, rings
+from conftest import (
+    arbitrary_morphisms,
+    elements,
+    modules,
+    morphisms,
+    pure_monos_from,
+    rings,
+)
 from phantomcover.approx import (
     extract_retract,
     is_cover,
@@ -27,9 +34,10 @@ from phantomcover.finmod import (
     is_surjective,
     kernel,
     solve_left_factor,
+    torsion_image,
 )
 from phantomcover.ideals import MorphismIdeal, is_phantom
-from phantomcover.oracles import hom_count, right_minimal_by_enumeration
+from phantomcover.oracles import hom_count, right_minimal_by_enumeration, subgroup_elements
 
 Z4 = Ring(4)
 Z8 = Ring(8)
@@ -114,6 +122,34 @@ def test_cover_radical_test_matches_enumeration(phi):
     assume(hom_count(phi.source, phi.source) <= 4096)
     hom = MorphismIdeal.full_hom(phi.source.ring)
     assert is_cover(hom, phi, [phi]) == right_minimal_by_enumeration(phi)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_precover_membership_matches_the_solver(data):
+    # probe columns come from a small pool holding an element of phi's
+    # image, so one column recurs at several orders and one (order, column)
+    # pair recurs across probes: the verdicts must be keyed on both
+    ring = data.draw(rings(moduli=(2, 3, 4, 6, 8, 9, 12, 16)))
+    x = data.draw(modules(ring, max_card=64, max_rank=3))
+    m = data.draw(modules(ring, max_card=64, max_rank=3))
+    phi = data.draw(morphisms(x, m))
+    pool = [m.zero_element(), phi.apply(data.draw(elements(x))),
+            data.draw(elements(m)), data.draw(elements(m))]
+    probes = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        src = data.draw(modules(ring, max_card=64, max_rank=3))
+        cols = [data.draw(st.sampled_from([y for y in pool if not any(m.smul(d, y))]))
+                for d in src.invariant_factors]
+        probes.append(ModuleMorphism.from_columns(src, m, cols))
+    first_failure = next((p for p in probes if solve_left_factor(phi, p) is None), None)
+    result = is_precover(MorphismIdeal.full_hom(ring), phi, probes)
+    assert result.holds == (first_failure is None)
+    assert result.failing_probe is first_failure
+    for d in ring.divisors():
+        torsion = (e for e in x.elements() if not any(x.smul(d, e)))
+        assert subgroup_elements(torsion_image(phi, d)) == {phi.apply(e) for e in torsion}
 
 
 def _sweep(ideal, m, bound):

@@ -483,6 +483,34 @@ def test_trusted_morphisms_pass_the_checking_constructor(data):
         assert rebuilt == h and hash(rebuilt) == hash(h) == hash(h)
 
 
+def _assert_compose_is_elementwise(g, f):
+    h = compose(g, f)
+    assert ModuleMorphism(f.source, g.target, h.matrix) == h
+    for j in range(f.source.rank):
+        assert h.column(j) == g.apply(f.apply(f.source.generator(j)))
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compose_matches_elementwise_application(data):
+    ring = data.draw(rings(moduli=(2, 3, 4, 6, 8, 9, 12, 16)))
+    a, b, c = (data.draw(modules(ring, max_card=32, max_rank=3)) for _ in range(3))
+    _assert_compose_is_elementwise(data.draw(morphisms(b, c)), data.draw(morphisms(a, b)))
+
+
+@pytest.mark.parametrize("a, b, c, f_rows, g_rows", [
+    ((), (2, 4), (4,), [[], []], [[2, 1]]),           # rank-0 source
+    ((2, 4), (4,), (), [[2, 1]], []),                 # rank-0 target
+    ((4,), (), (2, 4), [], [[], []]),                 # rank-0 middle
+    ((), (), (), [], []),
+])
+def test_compose_through_a_zero_module(a, b, c, f_rows, g_rows):
+    f = morph(mod(Z4, *a), mod(Z4, *b), f_rows)
+    g = morph(mod(Z4, *b), mod(Z4, *c), g_rows)
+    _assert_compose_is_elementwise(g, f)
+
+
 @pytest.mark.parametrize("source, target, rows, fake", [
     # identity of Z/4: x = 0 misses g(x) == y
     ((4,), (4,), [[1]], [0]),
