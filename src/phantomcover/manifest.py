@@ -201,16 +201,20 @@ def serialize(manifest: Manifest) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _record(lineno: int, line: str) -> tuple[str, Optional[str], dict[str, str]]:
+    """The kind, name and fields of one stripped record line."""
+    m = _HEADER.match(line)
+    if m is None:
+        raise InputError(f"line {lineno}: expected a [section] record")
+    return m.group(1), m.group(2), _fields(m.group(3), lineno)
+
+
 def _parse_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _HEADER.match(line)
-        if m is None:
-            raise InputError(f"line {lineno}: expected a [section] record")
-        kind, name, rest = m.group(1), m.group(2), m.group(3)
-        yield lineno, kind, name, _fields(rest, lineno)
+        yield (lineno, *_record(lineno, line))
 
 
 def parse(text: str) -> Manifest:
@@ -333,8 +337,7 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
     steps: dict[int, SubRep] = {}
     reports: dict[int, StepReport] = {}
     for lineno, raw in chain_lines:
-        m = _HEADER.match(raw.strip())
-        kind, name, fields = m.group(1), m.group(2), _fields(m.group(3), lineno)
+        kind, name, fields = _record(lineno, raw.strip())
         if kind == "filtration":
             _require(fields, ["target", "kappa"], lineno)
             target = manifest.reps.get(fields["target"])

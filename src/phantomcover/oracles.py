@@ -9,6 +9,7 @@ from itertools import combinations, product
 from math import gcd
 from typing import Optional
 
+from .approx import module_classes
 from .errors import InternalConsistencyError
 from .exact_linalg import IntMatrix, determinant
 from .finmod import (
@@ -18,9 +19,10 @@ from .finmod import (
     compose,
     element_preimage,
     hom_group,
+    indecomposable_projectives,
     multiplication_map,
 )
-from .ideals import ProjectiveFactorization, factors_through_projective
+from .ideals import ProjectiveFactorization, factors_through_projective, free_cover_epi
 
 
 def minor_gcd_diagonal(a: IntMatrix) -> tuple[int, ...]:
@@ -167,6 +169,23 @@ def economical_projective_factorization(f: ModuleMorphism) -> Optional[Projectiv
     if compose(through, into) != f:
         raise InternalConsistencyError("economical factorization does not compose to f")
     return ProjectiveFactorization(middle, into, through)
+
+
+def phantom_probe_set_by_composition(m: FiniteModule,
+                                     size_bound: int = 256) -> list[ModuleMorphism]:
+    """The bounded phantom probe sweep by composition: pi o t for the
+    free-cover epi pi and every generator t of Hom(cls, pi.source) per
+    source class, then the generators of Hom(P, m) for the indecomposable
+    projectives P.  `approx.phantom_probe_set` writes the same list in
+    closed form."""
+    pi = free_cover_epi(m)
+    probes = []
+    for cls in module_classes(m.ring, size_bound):
+        for t in hom_group(cls, pi.source):
+            probes.append(compose(pi, t))
+    for p in indecomposable_projectives(m.ring):
+        probes.extend(hom_group(p, m))
+    return probes
 
 
 def subgroup_elements(sub: Submodule) -> frozenset[tuple[int, ...]]:

@@ -37,7 +37,12 @@ from phantomcover.finmod import (
     torsion_image,
 )
 from phantomcover.ideals import MorphismIdeal, is_phantom
-from phantomcover.oracles import hom_count, right_minimal_by_enumeration, subgroup_elements
+from phantomcover.oracles import (
+    hom_count,
+    phantom_probe_set_by_composition,
+    right_minimal_by_enumeration,
+    subgroup_elements,
+)
 
 Z4 = Ring(4)
 Z8 = Ring(8)
@@ -59,6 +64,21 @@ def test_module_classes_bounded_and_complete():
     factor_sets = {m.invariant_factors for m in classes}
     assert (2,) in factor_sets and (4, 4) in factor_sets and (2, 2, 4) in factor_sets
     assert (2, 4, 4) not in factor_sets  # cardinality 32
+
+
+@seed(20261018)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_phantom_probe_set_matches_composition(data):
+    ring = data.draw(rings(moduli=(2, 3, 4, 6, 8, 9, 12, 16)))
+    m = data.draw(st.one_of(st.just(FiniteModule.zero(ring)), modules(ring)))
+    bound = data.draw(st.sampled_from((1, 16, 64, 256)))
+
+    def entries(probes):
+        return [(p.source, p.target, p.matrix) for p in probes]
+
+    assert entries(phantom_probe_set(m, size_bound=bound)) == entries(
+        phantom_probe_set_by_composition(m, size_bound=bound))
 
 
 def test_precover_trivial_probes():

@@ -1,8 +1,13 @@
+import io
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from phantomcover import cli, exact_linalg
 from phantomcover.cli import main
@@ -406,9 +411,102 @@ def test_stray_key_on_a_step_report_is_an_input_error(demo, capsys, tmp_path):
     assert f"line {lineno}: unknown field 'extra'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["[step 1]", "[stepreport 0]"])
+def test_unnamed_chain_record_is_an_input_error(demo, capsys, tmp_path, header):
+    # "[stepreport ]" starts like a chain record but is no record at all
+    unnamed = header.split()[0] + " ]"
+    path = _filtration_file(demo, tmp_path)
+    lines = _rewrite(path, lambda l: l.replace(header, unnamed))
+    lineno = 1 + next(i for i, l in enumerate(lines) if l.startswith(unnamed))
+    capsys.readouterr()
+    assert main(["verify-filtration", "--input", str(path)]) == 2
+    assert f"line {lineno}: expected a [section] record" in capsys.readouterr().err
+
+
 def test_misspelt_key_on_a_module_record_is_an_input_error(demo, capsys):
     lines = _rewrite(Path(demo), lambda l: l + " factros=4"
                      if l.startswith("[module four]") else l)
     lineno = 1 + next(i for i, l in enumerate(lines) if l.startswith("[module four]"))
     assert main(["check-phantom", "--input", demo, "--morphism", "ident2"]) == 2
     assert f"line {lineno}: unknown field 'factros'" in capsys.readouterr().err
+
+
+# --- seeded mutation of valid inputs -----------------------------------------
+
+_MUTATION_KEYS = ("version", "n", "factors", "from", "to", "rows", "f", "target",
+                  "kappa", "s1", "s2", "witnesses", "q1", "q2", "b1", "b2", "bogus")
+
+
+@pytest.fixture(scope="module")
+def mutation_sources(tmp_path_factory):
+    """Valid inputs written by the CLI itself, each with the commands that
+    read it: random-rep manifests, their filtration files and phantom-cover
+    manifests."""
+    work = tmp_path_factory.mktemp("mutation")
+    sources = []
+    with redirect_stdout(io.StringIO()):
+        for ring, seed in ((4, 1), (6, 2), (8, 1), (12, 3)):
+            rep, filt = work / f"rep{ring}.txt", work / f"rep{ring}.filt"
+            assert main(["random-rep", "--ring", str(ring), "--seed", str(seed),
+                         "--size-bound", "32", "--output", str(rep)]) == 0
+            assert main(["filtrate", "--input", str(rep), "--rep", "sampled",
+                         "--kappa", str(ring), "--output", str(filt)]) == 0
+            sources.append((rep.read_bytes(), [
+                ["filtrate", "--rep", "sampled", "--kappa", str(ring)],
+                ["check-phantom", "--morphism", "f0"]]))
+            sources.append((filt.read_bytes(), [["verify-filtration"]]))
+        for ring, factors in ((4, "2,4"), (8, "2,8"), (12, "2,6")):
+            mod, cover = work / f"mod{ring}.txt", work / f"cover{ring}.txt"
+            mod.write_text(f"[manifest] version=1\n[ring] n={ring}\n"
+                           f"[module M] factors={factors}\n", encoding="utf-8")
+            assert main(["phantom-cover", "--input", str(mod), "--module", "M",
+                         "--output", str(cover)]) == 0
+            sources.append((cover.read_bytes(), [
+                ["precover", "--morphism", "phantom_cover"],
+                ["cover", "--morphism", "phantom_cover"],
+                ["check-phantom", "--morphism", "phantom_cover"],
+                ["phantom-cover", "--module", "m1"]]))
+    return work, sources
+
+
+def _mutate(data, text: bytes) -> bytes:
+    kind = data.draw(st.sampled_from(
+        ("flip", "drop", "duplicate", "rename", "zero", "negative", "non-number")))
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(text) - 1))
+        bit = data.draw(st.integers(0, 7))
+        return text[:at] + bytes([text[at] ^ (1 << bit)]) + text[at + 1:]
+    body = text.decode("utf-8")
+    if kind in ("drop", "duplicate"):
+        lines = body.splitlines(keepends=True)
+        at = data.draw(st.integers(0, len(lines) - 1))
+        lines[at:at + 1] = [] if kind == "drop" else [lines[at]] * 2
+        return "".join(lines).encode("utf-8")
+    pattern = r"[a-z0-9]+(?==)" if kind == "rename" else r"\d+"
+    spans = [m.span() for m in re.finditer(pattern, body)]
+    start, end = data.draw(st.sampled_from(spans))
+    if kind == "rename":
+        new = data.draw(st.sampled_from(_MUTATION_KEYS))
+    elif kind == "zero":
+        new = "0"
+    elif kind == "negative":
+        new = "-" + data.draw(st.sampled_from(("1", body[start:end])))
+    else:
+        new = data.draw(st.sampled_from(("x", "1.5", "", "0x8", "1e3")))
+    return (body[:start] + new + body[end:]).encode("utf-8")
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_inputs_keep_the_exit_code_contract(mutation_sources, data):
+    work, sources = mutation_sources
+    text, commands = data.draw(st.sampled_from(sources))
+    path = work / "mutated.txt"
+    path.write_bytes(_mutate(data, text))
+    argv = data.draw(st.sampled_from(commands))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([argv[0], "--input", str(path), *argv[1:]])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "error=unexpected" not in err.getvalue()
