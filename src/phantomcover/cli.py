@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-phantom", help="decide phantomness of a morphism")
     with_io(p)
     p.add_argument("--morphism", required=True)
-    p.set_defaults(fn=cmd_check_phantom)
 
     ignored = "accepted and ignored: the verdict is exact"
 
@@ -294,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--morphism", required=True)
     p.add_argument("--ideal", default="phantom")
     p.add_argument("--size-bound", type=int, help=ignored)
-    p.set_defaults(fn=cmd_precover)
 
     p = sub.add_parser("cover", help="test the cover property")
     with_io(p, output=False)
@@ -302,55 +300,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", default="phantom")
     p.add_argument("--size-bound", type=int, help=ignored)
     p.add_argument("--endo-limit", type=int, help=ignored)
-    p.set_defaults(fn=cmd_cover)
 
     p = sub.add_parser("phantom-cover", help="construct the phantom cover")
     with_io(p)
     p.add_argument("--module", required=True)
-    p.set_defaults(fn=cmd_phantom_cover)
 
     p = sub.add_parser("pushout-transport",
                        help="push a phantom epi out along a pure mono")
     with_io(p)
     p.add_argument("--phi", required=True)
     p.add_argument("--mono", required=True)
-    p.set_defaults(fn=cmd_pushout_transport)
 
     p = sub.add_parser("retract", help="extract the pure-injectivity retraction")
     with_io(p)
     p.add_argument("--phi", required=True)
     p.add_argument("--mono", required=True)
-    p.set_defaults(fn=cmd_retract)
 
     p = sub.add_parser("filtrate", help="build the filtration of a phantom rep")
     with_io(p)
     p.add_argument("--rep", required=True)
     p.add_argument("--kappa", type=int, required=True)
-    p.set_defaults(fn=cmd_filtrate)
 
     p = sub.add_parser("verify-filtration", help="re-check a filtration file")
     p.add_argument("--input", required=True)
-    p.set_defaults(fn=cmd_verify_filtration)
 
     p = sub.add_parser("counterexample-ext",
                        help="split extension leaving the ideal class")
     with_io(p)
     p.add_argument("--morphism", required=True)
     p.add_argument("--ideal", default="phantom")
-    p.set_defaults(fn=cmd_counterexample_ext)
 
     p = sub.add_parser("colimit", help="colimit of a chain of representations")
     with_io(p)
     p.add_argument("--chain", required=True, help="comma-separated rep names")
     p.add_argument("--maps", default="", help="comma-separated repmap names")
-    p.set_defaults(fn=cmd_colimit)
 
     p = sub.add_parser("random-rep", help="sample a deterministic phantom rep")
     p.add_argument("--ring", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size-bound", type=int, default=64)
     p.add_argument("--output")
-    p.set_defaults(fn=cmd_random_rep)
 
     p = sub.add_parser("verify-suite", help="run the seeded property suite")
     p.add_argument("--seed", type=int, default=1)
@@ -359,16 +348,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to this modulus (repeatable)")
     p.add_argument("--property", action="append",
                    help="restrict to this property (repeatable)")
-    p.set_defaults(fn=cmd_verify_suite)
 
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the parser is built once, the handler found by name."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except BudgetExceededError as exc:
         print(f"error=budget-exceeded detail={exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -240,9 +240,10 @@ def verify_filtration(filtration: Filtration,
     every step, chain containment with the union reaching the target, phantom
     quotient steps, the surfaced size bounds, and strict growth below the top.
 
-    The size check recomputes each quotient and fails when a report records
-    other quotient sizes, a bound below them, or (given the config) a bound
-    that is not kappa * n^e.
+    Each step quotient is computed once, and only when the chain is
+    contained; the phantom check and the size check both read it.  The size
+    check fails when a report records other quotient sizes, a bound below
+    them, or (given the config) a bound that is not kappa * n^e.
     """
     steps = filtration.steps
     conditions: dict[str, ConditionReport] = {}
@@ -262,12 +263,10 @@ def verify_filtration(filtration: Filtration,
         "chain containment fails" if not chain_ok else "union is not the target")
     conditions["continuity"] = ConditionReport(chain_ok and union_ok, detail)
 
-    phantom_fail = None
-    if chain_ok:
-        for i in range(len(steps) - 1):
-            if not is_phantom(_step_quotient_rep(filtration, i).f):
-                phantom_fail = i
-                break
+    quotients = ([_step_quotient_rep(filtration, i) for i in range(len(steps) - 1)]
+                 if chain_ok else [])
+    phantom_fail = next(
+        (i for i, q in enumerate(quotients) if not is_phantom(q.f)), None)
     conditions["quotient_phantom"] = ConditionReport(
         chain_ok and phantom_fail is None,
         "" if phantom_fail is None else f"non-phantom quotient at step {phantom_fail}")
@@ -276,8 +275,7 @@ def verify_filtration(filtration: Filtration,
     size_detail = []
     if chain_ok:
         n = filtration.target.ring.modulus
-        for i in range(len(steps) - 1):
-            q = _step_quotient_rep(filtration, i)
+        for i, q in enumerate(quotients):
             c1, c2 = q.m1.cardinality, q.m2.cardinality
             report = filtration.reports[i] if i < len(filtration.reports) else None
             if report is not None:

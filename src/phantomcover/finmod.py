@@ -853,16 +853,25 @@ def indecomposable_projectives(ring: Ring) -> tuple[FiniteModule, ...]:
                  for p, e in sorted(ring.factorization.items()))
 
 
+def _proper_prime_powers(n: int) -> tuple[int, ...]:
+    """The p^k with 1 <= k < v_p(n), ascending.  The lowest divisor d of n
+    with S meet d*M != d*S is always one of them: on the p-part, d acts as a
+    unit times p^(v_p(d)), which is zero once v_p(d) >= v_p(n) (Fuchs,
+    "Infinite Abelian Groups I", section 26)."""
+    return tuple(sorted(p ** k for p, e in factorize(n) for k in range(1, e)))
+
+
 def is_pure_submodule(sub: Submodule) -> bool:
     """Bounded-exponent purity: S meets d*M in d*S for every divisor d of n.
 
     Decided by the Howell witness search `pure_closure_counted` also uses:
-    S is pure iff (S meet d*M) \\ d*S is empty for every divisor d > 1.
-    Independent references live in the tests and the property suite
-    (element enumeration and `is_direct_summand`).
+    S is pure iff (S meet d*M) \\ d*S is empty for every proper prime power
+    d of n (`_proper_prime_powers`).  Independent references over every
+    divisor live in the tests and the property suite (element enumeration
+    and `is_direct_summand`).
     """
     return all(_purification_witness(sub, d) is None
-               for d in sub.ambient.ring.divisors()[1:])
+               for d in _proper_prime_powers(sub.ambient.ring.modulus))
 
 
 def is_direct_summand(sub: Submodule) -> Optional[ModuleMorphism]:
@@ -948,21 +957,23 @@ def _lowest_scalar_preimage(amb: FiniteModule, d: int,
 
 
 def pure_closure_counted(sub: Submodule) -> tuple[Submodule, int]:
-    """Deterministic purification: scan divisors in ascending order for the
-    lexicographically lowest witness s in (S meet d*M) \\ d*S, adjoin the
-    lexicographically lowest m with d*m == s, repeat.  Terminates by strict
-    growth.
+    """Deterministic purification: for the lowest divisor d of n with a
+    witness, adjoin the lexicographically lowest m with d*m == s, s the
+    lexicographically lowest witness in (S meet d*M) \\ d*S; repeat.
+    Terminates by strict growth.  Only the proper prime powers of n are
+    scanned (`_proper_prime_powers`): the lowest failing d is one of them.
 
     Returns the purified submodule and the number of adjoined witnesses.
     """
     amb = sub.ambient
     if amb.rank == 0:
         return sub, 0
+    divisors = _proper_prime_powers(amb.ring.modulus)
     cur = sub
     witnesses = 0
     while True:
         found = None
-        for d in amb.ring.divisors()[1:]:
+        for d in divisors:
             s_elt = _purification_witness(cur, d)
             if s_elt is not None:
                 found = (d, s_elt)

@@ -339,6 +339,8 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
     for lineno, raw in chain_lines:
         kind, name, fields = _record(lineno, raw.strip())
         if kind == "filtration":
+            if header_line:
+                raise InputError(f"line {lineno}: duplicate [filtration] record")
             _require(fields, ["target", "kappa"], lineno)
             target = manifest.reps.get(fields["target"])
             if target is None:
@@ -354,6 +356,8 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
                 raise InputError(f"line {lineno}: [step] before [filtration]")
             _require(fields, ["s1", "s2"], lineno)
             idx = _int(name, "step index", lineno)
+            if idx in steps:
+                raise InputError(f"line {lineno}: duplicate [step {idx}] record")
             try:
                 steps[idx] = SubRep(
                     target,
@@ -363,7 +367,10 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
                 raise InputError(f"line {lineno}: {exc}") from None
         elif kind == "stepreport":
             _require(fields, ["witnesses", "q1", "q2", "b1", "b2"], lineno)
-            reports[_int(name, "step report index", lineno)] = StepReport(*(
+            idx = _int(name, "step report index", lineno)
+            if idx in reports:
+                raise InputError(f"line {lineno}: duplicate [stepreport {idx}] record")
+            reports[idx] = StepReport(*(
                 _int(fields[key], key, lineno)
                 for key in ("witnesses", "q1", "q2", "b1", "b2")))
     if target is None or kappa is None:

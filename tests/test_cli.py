@@ -1,3 +1,4 @@
+import argparse
 import io
 import re
 import subprocess
@@ -302,6 +303,43 @@ def test_unexpected_exception_exit_code(demo, capsys, monkeypatch):
     assert capsys.readouterr().err == "error=unexpected detail=KeyError: 'boom'\n"
 
 
+def test_one_process_runs_many_commands(demo, capsys):
+    # one parser serves every call: repeatable flags start empty each time,
+    # and a usage error leaves nothing behind for the next call
+    for prop in ("manifest_roundtrip", "sampler_determinism"):
+        code, out = run(["verify-suite", "--seed", "1", "--samples", "1",
+                         "--ring", "4", "--property", prop], capsys)
+        assert code == 0
+        listed = [l.split()[1].split(".")[1] for l in out.splitlines()
+                  if l.startswith(("ok ", "FAIL "))]
+        assert listed == [prop]
+    argv = ["check-phantom", "--input", demo, "--morphism", "ident2"]
+    first = run(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-phantom", "--input", demo])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(argv, capsys) == first
+
+
+def test_parser_is_built_once(demo, capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    for _ in range(3):
+        assert main(["check-phantom", "--input", demo, "--morphism", "ident2"]) == 0
+    assert len(built) == 1
+
+
+def test_every_command_has_a_handler():
+    parser = cli.build_parser()
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    for name in commands:
+        assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
+
+
 def test_failed_annihilation_check_is_an_internal_error(monkeypatch):
     # a graph-form row leading in the solution half that a does not
     # annihilate; through the whole solver the lift check would trip first
@@ -421,6 +459,23 @@ def test_unnamed_chain_record_is_an_input_error(demo, capsys, tmp_path, header):
     capsys.readouterr()
     assert main(["verify-filtration", "--input", str(path)]) == 2
     assert f"line {lineno}: expected a [section] record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, copy", [
+    ("[filtration]", None),
+    ("[step 1]", None),
+    ("[step 1]", "[step 1] s1= s2="),
+    ("[stepreport 0]", None),
+])
+def test_duplicate_chain_record_is_an_input_error(demo, capsys, tmp_path, header, copy):
+    # a second record of the same kind and index must not replace the first
+    path = _filtration_file(demo, tmp_path)
+    _rewrite(path, lambda l: l + "\n" + (copy or l) if l.startswith(header + " ") else l)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lineno = [i for i, l in enumerate(lines, start=1) if l.startswith(header + " ")][1]
+    capsys.readouterr()
+    assert main(["verify-filtration", "--input", str(path)]) == 2
+    assert f"line {lineno}: duplicate {header} record" in capsys.readouterr().err
 
 
 def test_misspelt_key_on_a_module_record_is_an_input_error(demo, capsys):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import phantom_morphisms, rings
+from phantomcover import filtration
 from phantomcover.errors import InputError
 from phantomcover.filtration import (
     Filtration,
@@ -149,6 +150,39 @@ def test_verify_filtration_catches_impure_step():
     assert not report.ok
     assert not report.conditions["purity"].ok
     assert "index 1" in report.conditions["purity"].detail
+
+
+def _count_step_quotients(monkeypatch):
+    calls = []
+    real = filtration._step_quotient_rep
+
+    def counting(filt, i):
+        calls.append(i)
+        return real(filt, i)
+
+    monkeypatch.setattr(filtration, "_step_quotient_rep", counting)
+    return calls
+
+
+def test_verify_filtration_builds_each_step_quotient_once(monkeypatch):
+    filt = build_filtration(doubling_rep(3), CFG)
+    calls = _count_step_quotients(monkeypatch)
+    assert verify_filtration(filt, CFG).ok
+    assert sorted(calls) == list(range(len(filt.steps) - 1))
+
+
+def test_verify_filtration_builds_no_quotient_off_a_chain(monkeypatch):
+    rep = doubling_rep(1)
+    # the second step does not contain the first
+    first = SubRep(rep, Submodule.zero(rep.m1), Submodule.full(rep.m2))
+    second = SubRep(rep, Submodule(rep.m1, ((2,),)), Submodule(rep.m2, ((2,),)))
+    filt = Filtration(rep, (SubRep.zero(rep), first, second, SubRep.full(rep)), ())
+    calls = _count_step_quotients(monkeypatch)
+    report = verify_filtration(filt, CFG)
+    assert report.conditions["continuity"].detail == "chain containment fails"
+    assert not report.conditions["quotient_phantom"].ok
+    assert not report.conditions["size_bounds"].ok
+    assert calls == []
 
 
 def test_verify_filtration_catches_wrong_base_and_union():

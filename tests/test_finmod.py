@@ -437,6 +437,43 @@ def test_purity_matches_exhaustive_intersection(mw):
     assert is_pure_submodule(sub) == expected
 
 
+@pytest.mark.parametrize("n, powers", [
+    (2, ()), (6, ()), (8, (2, 4)), (12, (2,)), (16, (2, 4, 8)), (72, (2, 3, 4)),
+])
+def test_proper_prime_powers(n, powers):
+    assert finmod._proper_prime_powers(n) == powers
+    assert list(powers) == sorted(powers)
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_purity_at_proper_prime_powers_matches_every_divisor(data):
+    ring = data.draw(rings((4, 8, 9, 12, 16, 18, 36)))
+    m = data.draw(modules(ring, max_card=128))
+    sub = data.draw(submodules(m))
+    every = ring.divisors()[1:]
+
+    def witness(s):
+        """The lowest divisor d > 1 with a purification witness, and it."""
+        for d in every:
+            w = finmod._purification_witness(s, d)
+            if w is not None:
+                return d, w
+        return None
+
+    assert is_pure_submodule(sub) == (witness(sub) is None)
+    cur, witnesses = sub, 0
+    found = witness(cur) if m.rank else None
+    while found is not None:
+        cur = cur.join([finmod._lowest_scalar_preimage(m, *found)])
+        witnesses += 1
+        found = witness(cur)
+    closed, count = finmod.pure_closure_counted(sub)
+    assert closed.generators == cur.generators
+    assert count == witnesses
+
+
 # --- canonicalization -------------------------------------------------------
 
 @settings(max_examples=50, deadline=None)
