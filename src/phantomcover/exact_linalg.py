@@ -10,6 +10,7 @@ are reproducible across runs.  The Howell form keeps every entry in [0, n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, prod
 from typing import Optional, Sequence
 
@@ -41,15 +42,6 @@ class IntMatrix:
         if any(len(r) != width for r in data):
             raise InputError("ragged rows")
         return cls(rows, width, tuple(int(x) for row in data for x in row))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
-        if not columns:
-            return cls(0 if rows is None else rows, 0, ())
-        height = len(columns[0])
-        if any(len(c) != height for c in columns):
-            raise InputError("ragged columns")
-        return cls(height, len(columns), tuple(int(columns[j][i]) for i in range(height) for j in range(len(columns))))
 
     @classmethod
     def identity(cls, k: int) -> "IntMatrix":
@@ -101,21 +93,22 @@ class IntMatrix:
         return [sum(self.at(i, j) * vec[j] for j in range(self.cols)) for i in range(self.rows)]
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
+        return self.entries[::self.cols + 1][:min(self.rows, self.cols)]
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
 
-    The inverse of U is tracked during reduction so callers get it for free
-    (canonical quotients read their generator lifts off it).
+    U and its inverse come together, when the row transforms are tracked
+    (canonical quotients read their generator lifts off U^-1); V comes when
+    the column transforms are.  A transform not tracked is None.
     """
 
-    u: IntMatrix
+    u: Optional[IntMatrix]
     d: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
+    v: Optional[IntMatrix]
+    u_inv: Optional[IntMatrix]
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal()
@@ -157,71 +150,82 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+def smith_normal_form(a: IntMatrix, *, row_transforms: bool = True,
+                      col_transforms: bool = True) -> SmithDecomposition:
     """Smith normal form with deterministic minimum-absolute-value pivoting.
 
     Entries are cleared by unimodular 2x2 extended-gcd transforms, which
     reach the gcd in one step per entry and keep intermediate growth tame.
+    `row_transforms` tracks U and U^-1, `col_transforms` tracks V; a
+    transform not asked for is never updated and comes back as None.  The
+    pivot sequence reads only D, so D and every tracked transform are the
+    same whichever are asked for.
     """
     m, n = a.rows, a.cols
     d = a.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    uinv = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
+    u = uinv = v = None
+    if row_transforms:
+        u = [[0] * m for _ in range(m)]
+        uinv = [[0] * m for _ in range(m)]
+        for i in range(m):
+            u[i][i] = uinv[i][i] = 1
+    if col_transforms:
+        v = [[0] * n for _ in range(n)]
+        for j in range(n):
+            v[j][j] = 1
+    # row ops act on the rows of d and u and, inverted, on the columns of
+    # uinv; column ops act on the columns of d and v
+    row_mats = (d,) if u is None else (d, u)
+    inv_rows = () if uinv is None else uinv
+    col_mats = (d,) if v is None else (d, v)
 
     def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
+        for mat in row_mats:
+            mat[i], mat[j] = mat[j], mat[i]
+        for r in inv_rows:
             r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        for mat in col_mats:
+            for r in mat:
+                r[i], r[j] = r[j], r[i]
 
     def add_row(dst, src, q):
         # row_dst += q * row_src; the inverse is a column op on uinv
-        for mat, width in ((d, n), (u, m)):
-            drow, srow = mat[dst], mat[src]
-            for k in range(width):
-                drow[k] += q * srow[k]
-        for r in uinv:
+        for mat in row_mats:
+            mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
+        for r in inv_rows:
             r[src] -= q * r[dst]
 
     def add_col(dst, src, q):
-        for r in d:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
+        for mat in col_mats:
+            for r in mat:
+                r[dst] += q * r[src]
 
     def row_gcd_transform(t, i, e11, e12, e21, e22):
         # rows (t, i) <- E * rows (t, i) with det(E) == 1
-        for mat in (d, u):
+        for mat in row_mats:
             rt, ri = mat[t], mat[i]
-            for k in range(len(rt)):
-                x, y = rt[k], ri[k]
-                rt[k] = e11 * x + e12 * y
-                ri[k] = e21 * x + e22 * y
+            mat[t] = [e11 * x + e12 * y for x, y in zip(rt, ri)]
+            mat[i] = [e21 * x + e22 * y for x, y in zip(rt, ri)]
         # uinv <- uinv * E^-1, E^-1 = [[e22, -e12], [-e21, e11]]
-        for r in uinv:
+        for r in inv_rows:
             x, y = r[t], r[i]
             r[t] = e22 * x - e21 * y
             r[i] = -e12 * x + e11 * y
 
     def col_gcd_transform(t, j, f11, f21, f12, f22):
         # cols (t, j) <- cols (t, j) * F, F = [[f11, f12], [f21, f22]], det 1
-        for mat in (d, v):
+        for mat in col_mats:
             for r in mat:
                 x, y = r[t], r[j]
                 r[t] = x * f11 + y * f21
                 r[j] = x * f12 + y * f22
 
     def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
+        for mat in row_mats:
+            mat[i] = [-x for x in mat[i]]
+        for r in inv_rows:
             r[i] = -r[i]
 
     t = 0
@@ -280,19 +284,19 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             add_row(t, offender, 1)
         t += 1
 
-    return SmithDecomposition(
-        u=IntMatrix.from_rows(u, cols=m),
-        d=IntMatrix.from_rows(d, cols=n),
-        v=IntMatrix.from_rows(v, cols=n),
-        u_inv=IntMatrix.from_rows(uinv, cols=m),
-    )
+    def pack(rows, width):
+        return None if rows is None else IntMatrix(
+            len(rows), width, tuple(chain.from_iterable(rows)))
+
+    return SmithDecomposition(u=pack(u, m), d=pack(d, n), v=pack(v, n),
+                              u_inv=pack(uinv, m))
 
 
 def integer_kernel_basis(a: IntMatrix) -> list[list[int]]:
     """Basis of the lattice {x in Z^cols : a @ x == 0}."""
-    s = smith_normal_form(a)
-    r = s.rank
-    return [list(s.v.column(k)) for k in range(r, a.cols)]
+    s = smith_normal_form(a, row_transforms=False)
+    c = a.cols
+    return [list(s.v.entries[k::c]) for k in range(s.rank, c)]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product as _iterproduct
+from itertools import chain, product as _iterproduct
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -396,8 +396,8 @@ def _quotient_structure(ncoords: int, relations: Sequence[Sequence[int]]):
     ambient coordinates, and `lift_cols[k]` is an integer preimage of it.
     The quotient must be finite (callers include ambient relations).
     """
-    w = IntMatrix.from_columns([list(c) for c in relations], rows=ncoords)
-    s = smith_normal_form(w)
+    w = IntMatrix(ncoords, len(relations), tuple(chain.from_iterable(zip(*relations))))
+    s = smith_normal_form(w, col_transforms=False)
     diag = s.diagonal()
     factors = []
     kept = []
@@ -408,11 +408,8 @@ def _quotient_structure(ncoords: int, relations: Sequence[Sequence[int]]):
         if di != 1:
             kept.append(i)
             factors.append(di)
-    proj_rows = [
-        tuple(s.u.at(i, j) % factors[k] for j in range(ncoords))
-        for k, i in enumerate(kept)
-    ]
-    lift_cols = [tuple(s.u_inv.at(r, i) for r in range(ncoords)) for i in kept]
+    proj_rows = [tuple(x % f for x in s.u.row(i)) for f, i in zip(factors, kept)]
+    lift_cols = [s.u_inv.entries[i::ncoords] for i in kept]
     return tuple(factors), proj_rows, lift_cols
 
 
@@ -465,24 +462,23 @@ def _subgroup_presentation_cached(sub: Submodule) -> tuple[FiniteModule, ModuleM
         zero = FiniteModule.zero(ring)
         return zero, ModuleMorphism.zero_map(zero, amb)
     d = amb.invariant_factors
-    cols = [list(g) for g in sub.generators]
+    cols = list(sub.generators)
     for j in range(t):
         cols.append([d[j] if i == j else 0 for i in range(t)])
-    s1 = smith_normal_form(IntMatrix.from_columns(cols, rows=t))
+    s1 = smith_normal_form(IntMatrix(t, len(cols), tuple(chain.from_iterable(zip(*cols)))),
+                           col_transforms=False)
     diag1 = s1.diagonal()[:t]
     if any(x == 0 for x in diag1):
         raise InternalConsistencyError("subgroup lattice lost full rank")
     # relation lattice in the basis B = u_inv * diag1
-    c_rows = []
-    for k in range(t):
-        row = []
-        for j in range(t):
-            num = s1.u.at(k, j) * d[j]
-            if num % diag1[k] != 0:
+    c_entries = []
+    for k, dk in enumerate(diag1):
+        for uk, dj in zip(s1.u.row(k), d):
+            num = uk * dj
+            if num % dk != 0:
                 raise InternalConsistencyError("relation lattice escapes subgroup lattice")
-            row.append(num // diag1[k])
-        c_rows.append(row)
-    s2 = smith_normal_form(IntMatrix.from_rows(c_rows, cols=t))
+            c_entries.append(num // dk)
+    s2 = smith_normal_form(IntMatrix(t, t, tuple(c_entries)), col_transforms=False)
     diag2 = s2.diagonal()
     kept = [k for k in range(t) if diag2[k] != 1]
     if any(diag2[k] == 0 for k in kept):
@@ -490,12 +486,11 @@ def _subgroup_presentation_cached(sub: Submodule) -> tuple[FiniteModule, ModuleM
     factors = tuple(diag2[k] for k in kept)
     module = FiniteModule(ring, factors)
     # embedding columns: B @ u2_inv restricted to the kept indices
+    basis = [tuple(map(mul, s1.u_inv.row(i), diag1)) for i in range(t)]
     emb_cols = []
     for k in kept:
-        col = []
-        for i in range(t):
-            col.append(sum(s1.u_inv.at(i, l) * diag1[l] * s2.u_inv.at(l, k) for l in range(t)))
-        emb_cols.append(amb.reduce(col))
+        u2_col = s2.u_inv.entries[k::t]
+        emb_cols.append(amb.reduce([sum(map(mul, b, u2_col)) for b in basis]))
     emb = ModuleMorphism.from_columns(module, amb, emb_cols)
     expected = prod(d) // prod(diag1)
     if module.cardinality != expected:
@@ -537,11 +532,12 @@ def image_submodule(f: ModuleMorphism) -> Submodule:
 
 
 def is_injective(f: ModuleMorphism) -> bool:
-    return kernel(f)[0].is_zero
+    """The image is as large as the source, read off its Howell form."""
+    return image_submodule(f).cardinality == f.source.cardinality
 
 
 def is_surjective(f: ModuleMorphism) -> bool:
-    return cokernel(f)[0].is_zero
+    return image_submodule(f).is_full
 
 
 def is_automorphism(f: ModuleMorphism) -> bool:

@@ -379,8 +379,10 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
         raise InputError(f"line {header_line}: [filtration] has no [step] records")
     if set(steps) != set(range(len(steps))):
         raise InputError("filtration steps must be numbered 0..k")
-    if reports and set(reports) != set(range(len(reports))):
-        raise InputError("step reports must be numbered 0..k-1")
+    # one report per step quotient S_(i+1) / S_i, or none at all
+    if reports and set(reports) != set(range(len(steps) - 1)):
+        raise InputError(f"step reports must be numbered 0..k-1 for the "
+                         f"k = {len(steps) - 1} step quotients")
     filtration = Filtration(
         target, tuple(steps[i] for i in range(len(steps))),
         tuple(reports[i] for i in range(len(reports))))

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 from typing import Optional
 
 from .approx import module_classes
@@ -53,18 +54,18 @@ def minor_gcd_diagonal(a: IntMatrix) -> tuple[int, ...]:
 
 def exhaustive_solve_mod(a: IntMatrix, b: list[int], n: int) -> Optional[list[int]]:
     """First solution of a @ x == b (mod n) in lexicographic order, or None."""
+    rows = a.to_rows()
     for x in product(range(n), repeat=a.cols):
-        if all(sum(a.at(i, j) * x[j] for j in range(a.cols)) % n == b[i] % n
-               for i in range(a.rows)):
+        if all(sum(map(mul, row, x)) % n == bi % n for row, bi in zip(rows, b)):
             return list(x)
     return None
 
 
 def exhaustive_kernel_mod(a: IntMatrix, n: int) -> set[tuple[int, ...]]:
+    rows = a.to_rows()
     return {
         x for x in product(range(n), repeat=a.cols)
-        if all(sum(a.at(i, j) * x[j] for j in range(a.cols)) % n == 0
-               for i in range(a.rows))
+        if all(sum(map(mul, row, x)) % n == 0 for row in rows)
     }
 
 

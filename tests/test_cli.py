@@ -478,6 +478,24 @@ def test_duplicate_chain_record_is_an_input_error(demo, capsys, tmp_path, header
     assert f"line {lineno}: duplicate {header} record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", ["extra", "dropped_last"])
+def test_step_reports_must_cover_exactly_the_step_quotients(demo, capsys, tmp_path, edit):
+    # k + 1 [step] records bound k step quotients, reported as 0..k-1
+    path = _filtration_file(demo, tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    k = sum(1 for l in lines if l.startswith("[step ")) - 1
+    assert k >= 2
+    if edit == "extra":
+        lines.append(f"[stepreport {k}] witnesses=0 q1=1 q2=1 b1=4 b2=4")
+    else:
+        lines = [l for l in lines if not l.startswith(f"[stepreport {k - 1}] ")]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify-filtration", "--input", str(path)]) == 2
+    assert (f"step reports must be numbered 0..k-1 for the k = {k} step quotients"
+            in capsys.readouterr().err)
+
+
 def test_misspelt_key_on_a_module_record_is_an_input_error(demo, capsys):
     lines = _rewrite(Path(demo), lambda l: l + " factros=4"
                      if l.startswith("[module four]") else l)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +85,34 @@ def test_snf_matches_minor_gcd_oracle(a):
     s = smith_normal_form(a)
     assert_valid_snf(a, s)
     assert s.diagonal() == minor_gcd_diagonal(a)
+
+
+def _seeded_matrices():
+    """Seeded random matrices of every shape kind: empty on either side,
+    zero, square, tall and wide, with dense and with sparse entries."""
+    rng = random.Random(20261018)
+    for r, c in [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4), (6, 3), (3, 6), (5, 2), (2, 5)]:
+        yield IntMatrix.zeros(r, c)
+        for _ in range(6):
+            yield IntMatrix(r, c, tuple(rng.randint(-20, 20) for _ in range(r * c)))
+            yield IntMatrix(r, c, tuple(rng.choice((0, 0, 0, 2, -4, 6, 9, 12))
+                                        for _ in range(r * c)))
+
+
+@pytest.mark.parametrize("row_transforms", [True, False])
+@pytest.mark.parametrize("col_transforms", [True, False])
+def test_snf_tracks_only_the_transforms_asked_for(row_transforms, col_transforms):
+    for a in _seeded_matrices():
+        full = smith_normal_form(a)
+        assert_valid_snf(a, full)
+        lean = smith_normal_form(a, row_transforms=row_transforms,
+                                 col_transforms=col_transforms)
+        assert lean.d == full.d
+        if row_transforms:
+            assert (lean.u, lean.u_inv) == (full.u, full.u_inv)
+        else:
+            assert lean.u is None and lean.u_inv is None
+        assert lean.v == (full.v if col_transforms else None)
 
 
 def test_solve_mod_zero_rhs():

@@ -474,6 +474,21 @@ def test_purity_at_proper_prime_powers_matches_every_divisor(data):
     assert count == witnesses
 
 
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_injective_and_surjective_match_the_presentations(data):
+    # the Howell-cardinality deciders against the (co)kernel presentations,
+    # on a drawn morphism and on the maps from and to the rank-0 module
+    ring = data.draw(rings())
+    f = data.draw(morphisms(data.draw(modules(ring)), data.draw(modules(ring))))
+    zero = FiniteModule.zero(ring)
+    for g in (f, ModuleMorphism.zero_map(zero, f.target),
+              ModuleMorphism.zero_map(f.source, zero)):
+        assert is_injective(g) == kernel(g)[0].is_zero
+        assert is_surjective(g) == cokernel(g)[0].is_zero
+
+
 # --- canonicalization -------------------------------------------------------
 
 @settings(max_examples=50, deadline=None)
