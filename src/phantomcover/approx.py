@@ -121,12 +121,14 @@ def is_precover(ideal: MorphismIdeal, phi: ModuleMorphism,
     independently: a column y of order d lifts through phi exactly when y
     lies in `torsion_image(phi, d)`, so the test is subgroup membership and
     no factorization is built.  The subgroup for each order and the verdict
-    for each (order, column) pair are memoized for this call only.
+    for each (order, column) pair are memoized for this call only.  Probes
+    built in closed form share phi's target object, so targets compare by
+    identity before equality.
     """
     images: dict[int, Submodule] = {}
     verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
     for probe in probes:
-        if probe.target != phi.target:
+        if probe.target is not phi.target and probe.target != phi.target:
             raise InputError("probe does not land in the morphism's target")
         for d, y in zip(probe.source.invariant_factors, zip(*probe.matrix)):
             if not any(y):

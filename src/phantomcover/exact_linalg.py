@@ -417,9 +417,10 @@ def howell_form(rows: Sequence[Sequence[int]], n: int, width: int) -> HowellForm
     return HowellForm(n, width, tuple(tuple(r) for r in basis), tuple(pivots))
 
 
-def _graph_form(a: IntMatrix, n: int) -> HowellForm:
+def graph_form(a: IntMatrix, n: int) -> HowellForm:
     """Howell form of the graph {(a x | x)} in (Z/n)^(rows + cols), spanned
-    by the rows (column j of a | e_j)."""
+    by the rows (column j of a | e_j).  It depends on a alone, so callers
+    that solve many right-hand sides against one a build it once."""
     if n < 2:
         raise InputError("modulus must be >= 2")
     c = a.cols
@@ -427,34 +428,42 @@ def _graph_form(a: IntMatrix, n: int) -> HowellForm:
                         for j in range(c)], n, a.rows + c)
 
 
-def solve_mod(a: IntMatrix, b: Sequence[int], n: int) -> Optional[list[int]]:
-    """The lexicographically lowest x in [0, n)^cols with a @ x == b (mod n),
-    or None.
+def graph_solution(form: HowellForm, b: Sequence[int]) -> Optional[list[int]]:
+    """The lexicographically lowest x with a @ x == b, read off the graph
+    form of a, whose rows count len(b).
 
     Reducing (-b | 0) against the graph form gives the lowest vector of
     (-b | 0) + {(a x | x)}: (0 | x) for the lowest solution x when one
     exists, a non-zero left half otherwise.
     """
+    rows = len(b)
+    red = form.reduce([-v for v in b] + [0] * (form.width - rows))
+    if any(red[:rows]):
+        return None
+    return list(red[rows:])
+
+
+def graph_kernel(form: HowellForm, rows: int) -> list[list[int]]:
+    """Howell basis of {x : a @ x == 0}, read off the graph form of a with
+    `rows` rows: the right halves of the form rows leading there."""
+    return [list(row[rows:]) for row, j in zip(form.rows, form.pivots) if j >= rows]
+
+
+def solve_mod(a: IntMatrix, b: Sequence[int], n: int) -> Optional[list[int]]:
+    """The lexicographically lowest x in [0, n)^cols with a @ x == b (mod n),
+    or None."""
     if len(b) != a.rows:
         raise InputError("solve_mod: right-hand side length mismatch")
-    red = _graph_form(a, n).reduce([-v for v in b] + [0] * a.cols)
-    if any(red[:a.rows]):
-        return None
-    return list(red[a.rows:])
+    return graph_solution(graph_form(a, n), b)
 
 
 def solution_space_mod(a: IntMatrix, n: int) -> list[list[int]]:
     """Howell basis of the solution group {x in (Z/n)^cols : a @ x == 0
-    (mod n)}: the right halves of the graph-form rows leading there.  Each
-    generator is re-verified to be annihilated by a."""
-    h = _graph_form(a, n)
-    gens = []
-    for row, j in zip(h.rows, h.pivots):
-        if j >= a.rows:
-            g = list(row[a.rows:])
-            if any(x % n for x in a.apply(g)):
-                raise InternalConsistencyError("kernel generator fails annihilation check")
-            gens.append(g)
+    (mod n)}.  Each generator is re-verified to be annihilated by a."""
+    gens = graph_kernel(graph_form(a, n), a.rows)
+    for g in gens:
+        if any(x % n for x in a.apply(g)):
+            raise InternalConsistencyError("kernel generator fails annihilation check")
     return gens
 
 

@@ -24,10 +24,12 @@ from .errors import (
 from .exact_linalg import (
     HowellForm,
     IntMatrix,
+    graph_form,
+    graph_kernel,
+    graph_solution,
     howell_form,
     integer_kernel_basis,
     smith_normal_form,
-    solution_space_mod,
     solve_mod,
 )
 
@@ -66,8 +68,11 @@ class Ring:
         return dict(factorize(self.modulus))
 
     def divisors(self) -> tuple[int, ...]:
-        n = self.modulus
-        return tuple(d for d in range(1, n + 1) if n % d == 0)
+        """Every divisor of n, ascending, built from its prime powers."""
+        divs = [1]
+        for p, e in factorize(self.modulus):
+            divs = [d * p ** k for d in divs for k in range(e + 1)]
+        return tuple(sorted(divs))
 
     def is_semisimple(self) -> bool:
         """True iff the modulus is squarefree (then every module is projective)."""
@@ -194,7 +199,7 @@ class ModuleMorphism:
         return f
 
     def __hash__(self):
-        # memoized: the left-factor caches hash the same morphism per lookup
+        # memoized: the left-factor form cache hashes the same morphism per lookup
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.source, self.target, self.matrix))
@@ -562,30 +567,41 @@ def _left_factor_system(g: ModuleMorphism, dq: int,
 
 
 @lru_cache(maxsize=None)
+def _lift_form(g: ModuleMorphism, dq: int) -> HowellForm:
+    """Graph form of g's left-factor system at order dq.  The system's
+    matrix does not depend on the column being lifted, so every lift
+    through g at order dq, and the kernel columns, read this one form.
+
+    Cached by equality: retract chases and the suite's factorization checks
+    lift through equal morphisms that are distinct objects."""
+    a, _ = _left_factor_system(g, dq, (0,) * g.target.rank)
+    return graph_form(a, g.source.ring.modulus)
+
+
 def _lift_column(g: ModuleMorphism, dq: int, y: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """The lexicographically lowest x in g.source with g(x) == y and
     dq * x == 0, or None.
 
-    Cached: retract chases and the suite's factorization checks lift the
-    same (morphism, order, column) triples repeatedly.  A solution is
-    checked against both equations before it is cached, so every returned x
-    is verified once per distinct triple.  Whether a lift exists at all is
-    the membership test `torsion_image(g, dq).contains(y)`.
+    Reduces (-scaled y | 0 | 0) against `_lift_form(g, dq)`, and checks
+    every solution against both equations before returning it.  Whether a
+    lift exists at all is the membership test
+    `torsion_image(g, dq).contains(y)`.
     """
-    sol = solve_mod(*_left_factor_system(g, dq, y), g.source.ring.modulus)
+    src = g.source
+    sol = graph_solution(_lift_form(g, dq), _scaled(g.target, y) + (0,) * src.rank)
     if sol is None:
         return None
-    x = g.source.reduce(sol)
-    if g.apply(x) != y or any(g.source.smul(dq, x)):
+    x = src.reduce(sol)
+    if g.apply(x) != y or any(src.smul(dq, x)):
         raise InternalConsistencyError("left-factor solver returned a non-solution")
     return x
 
 
 def solve_left_factor(g: ModuleMorphism, psi: ModuleMorphism) -> Optional[ModuleMorphism]:
     """Some j with g o j == psi, or None.  Columns are independent, so each
-    source generator of psi is lifted by its own small modular system, and
-    `_lift_column` verifies each lift, which makes j well defined and
-    g o j == psi column by column."""
+    source generator of psi is lifted on its own, against the graph form of
+    g at the generator's order, and `_lift_column` verifies each lift, which
+    makes j well defined and g o j == psi column by column."""
     if g.target != psi.target:
         raise InputError("solve_left_factor: targets differ")
     if g.source.ring != psi.source.ring:
@@ -604,19 +620,27 @@ def torsion_image(g: ModuleMorphism, d: int) -> Submodule:
     """g(X[d]) as a subgroup of g.target, X = g.source and X[d] its d-torsion.
 
     X[d] is generated by (d_i / gcd(d_i, d)) e_i over the source factors
-    d_i, so a column y lifts through g to some x with d * x == 0, the
-    system `_lift_column` solves, exactly when y lies in this subgroup.
+    d_i, so a column y lifts through g to some x with d * x == 0, the lift
+    `_lift_column` reads off `_lift_form(g, d)`, exactly when y lies in this
+    subgroup.  Membership decides that without building the form.
     """
     return Submodule(g.target, tuple(
         tuple(c * (di // gcd(di, d)) for c in col)
         for di, col in zip(g.source.invariant_factors, zip(*g.matrix))))
 
 
-@lru_cache(maxsize=None)
-def _kernel_column_gens(g: ModuleMorphism, dq: int) -> tuple[tuple[int, ...], ...]:
-    a, _ = _left_factor_system(g, dq, (0,) * g.target.rank)
-    gens = (g.source.reduce(v) for v in solution_space_mod(a, g.source.ring.modulus))
-    return tuple(x for x in gens if any(x))
+def _kernel_column_gens(g: ModuleMorphism, dq: int) -> list[tuple[int, ...]]:
+    """Generators of {x in g.source : g(x) == 0, dq * x == 0}: the rows of
+    `_lift_form(g, dq)` leading in the x block, each re-checked."""
+    src = g.source
+    gens = []
+    for v in graph_kernel(_lift_form(g, dq), g.target.rank + src.rank):
+        x = src.reduce(v)
+        if any(g.apply(x)) or any(src.smul(dq, x)):
+            raise InternalConsistencyError("kernel generator fails annihilation check")
+        if any(x):
+            gens.append(x)
+    return gens
 
 
 def left_factor_kernel_columns(g: ModuleMorphism, source: FiniteModule) -> list[list[tuple[int, ...]]]:
@@ -625,7 +649,7 @@ def left_factor_kernel_columns(g: ModuleMorphism, source: FiniteModule) -> list[
     Column q of such a j ranges over a subgroup of g.source; the returned
     list gives generators of that subgroup for each q.
     """
-    return [list(_kernel_column_gens(g, source.invariant_factors[q]))
+    return [_kernel_column_gens(g, source.invariant_factors[q])
             for q in range(source.rank)]
 
 

@@ -116,10 +116,6 @@ class MorphismIdeal:
             raise InputError("generated_by needs at least one morphism; use zero()")
         return cls(morphisms[0].source.ring, kind=_GENERATED, generators=morphisms)
 
-    @property
-    def is_zero_ideal(self) -> bool:
-        return self.kind == _GENERATED and not self.generators
-
     def __str__(self):
         if self.kind == _PHANTOM:
             return f"Phant({self.ring})"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from conftest import elements, modules, modules_with_submodule, morphisms, rings, submodules
 from phantomcover import finmod
 from phantomcover.errors import IllDefinedMorphismError, InputError, InternalConsistencyError
+from phantomcover.exact_linalg import solution_space_mod, solve_mod
 from phantomcover.finmod import (
     Diagram,
     FiniteModule,
@@ -27,6 +28,7 @@ from phantomcover.finmod import (
     is_surjective,
     kernel,
     kernel_submodule,
+    left_factor_kernel_columns,
     pure_closure,
     pushout,
     pushout_mediating,
@@ -65,6 +67,20 @@ def test_module_validation():
         mod(Z4, 1)
     assert mod(Z4).is_zero
     assert mod(Z12, 2, 6, 12).cardinality == 144
+
+
+def test_divisors_match_the_scan():
+    for n in range(2, 3001):
+        assert Ring(n).divisors() == tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+def test_divisors_of_a_large_modulus():
+    n = 2 ** 20 * 3 ** 10
+    divs = Ring(n).divisors()
+    assert len(divs) == 21 * 11
+    assert list(divs) == sorted(set(divs))
+    assert divs[0] == 1 and divs[-1] == n
+    assert all(n % d == 0 for d in divs)
 
 
 def test_morphism_congruence_witness():
@@ -573,10 +589,68 @@ def test_compose_through_a_zero_module(a, b, c, f_rows, g_rows):
 def test_left_factor_lift_is_checked(monkeypatch, source, target, rows, fake):
     g = morph(mod(Z4, *source), mod(Z4, *target), rows)
     psi = ModuleMorphism.identity(g.target)
-    finmod._lift_column.cache_clear()
-    monkeypatch.setattr(finmod, "solve_mod", lambda a, b, n: list(fake))
+    finmod._lift_form.cache_clear()
+    monkeypatch.setattr(finmod, "graph_solution", lambda form, b: list(fake))
     with pytest.raises(InternalConsistencyError, match="non-solution"):
         solve_left_factor(g, psi)
+
+
+@pytest.mark.parametrize("target, rows, order, fake", [
+    # identity of Z/4: x = 1 is not in the kernel of g
+    ((4,), [[1]], 4, [1]),
+    # zero map Z/4 -> Z/2 at order 2: g(1) == 0 but 2 * 1 != 0 in Z/4
+    ((2,), [[0]], 2, [1]),
+])
+def test_left_factor_kernel_is_checked(monkeypatch, target, rows, order, fake):
+    g = morph(mod(Z4, 4), mod(Z4, *target), rows)
+    monkeypatch.setattr(finmod, "graph_kernel", lambda form, width: [list(fake)])
+    with pytest.raises(InternalConsistencyError, match="annihilation"):
+        left_factor_kernel_columns(g, mod(Z4, order))
+
+
+def _lift_by_one_system_per_column(g, psi):
+    n = g.source.ring.modulus
+    cols = []
+    for q, d in enumerate(psi.source.invariant_factors):
+        sol = solve_mod(*finmod._left_factor_system(g, d, psi.column(q)), n)
+        if sol is None:
+            return None
+        cols.append(g.source.reduce(sol))
+    return ModuleMorphism.from_columns(psi.source, g.source, cols)
+
+
+def _kernel_by_one_system_per_column(g, source):
+    n = g.source.ring.modulus
+    out = []
+    for d in source.invariant_factors:
+        system, _ = finmod._left_factor_system(g, d, (0,) * g.target.rank)
+        gens = (g.source.reduce(v) for v in solution_space_mod(system, n))
+        out.append([x for x in gens if any(x)])
+    return out
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lifts_from_the_cached_form_match_one_system_per_column(data):
+    # the cached graph form of g at each order answers as one fresh
+    # solve_mod / solution_space_mod system per column did: for drawn maps
+    # psi, and for every column of every order into g's target
+    ring = data.draw(rings(moduli=(2, 3, 4, 6, 8, 9, 12, 16)))
+    a, b, c = (data.draw(modules(ring, max_card=32, max_rank=3)) for _ in range(3))
+    g = data.draw(morphisms(b, c))
+    psis = [compose(g, data.draw(morphisms(a, b))), data.draw(morphisms(a, c))]
+    sources = [a]
+    for d in ring.divisors()[1:]:
+        cyclic = FiniteModule.cyclic(ring, d)
+        sources.append(cyclic)
+        psis.extend(ModuleMorphism.from_columns(cyclic, c, [y])
+                    for y in c.elements() if not any(c.smul(d, y)))
+    for psi in psis:
+        assert solve_left_factor(g, psi) == _lift_by_one_system_per_column(g, psi)
+    for source in sources:
+        assert (left_factor_kernel_columns(g, source)
+                == _kernel_by_one_system_per_column(g, source))
 
 
 def test_image_and_kernel_submodules():
