@@ -34,23 +34,105 @@ from .exact_linalg import (
 )
 
 
+# Trial division runs over 2 and the odd numbers below 2^10.  What it
+# leaves has no prime factor below 2^10, so a cofactor below 2^20 is 1 or
+# a prime.
+_TRIAL_BOUND = 1 << 10
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson-Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+# Pollard rho finds a prime factor p in about sqrt(p) steps, and every
+# composite cofactor below _MR_EXACT_BELOW has one below 2^41.  The budget
+# bounds the search on larger ones (about 5 s at 1.2 us a step).
+_RHO_STEPS = 1 << 22
+
+
+def _is_prime(m: int) -> bool:
+    """Primality of m >= 2^20 with no prime factor below 2^10, by
+    Miller-Rabin; InputError when m is probably prime but past the proof."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    if m >= _MR_EXACT_BELOW:
+        raise InputError(f"cannot prove {m} prime: moduli are factored "
+                         f"only where every prime factor is below {_MR_EXACT_BELOW}")
+    return True
+
+
+def _rho_divisor(m: int) -> int:
+    """A proper divisor of the composite m, by Brent's variant of Pollard
+    rho (BIT 20 (1980)): x -> x^2 + c from 2, for c = 1, 2, ..., with the
+    differences multiplied together and one gcd per batch of 128 steps."""
+    steps = 0
+    for c in range(1, m):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = gcd(q, m)
+                k += 128
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                raise InputError(f"cannot factor {m} within {_RHO_STEPS} rho steps")
+            r *= 2
+        if g == m:
+            # the batch overshot: step back through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(abs(x - ys), m)
+        if g != m:
+            return g
+    raise InternalConsistencyError(f"rho found no divisor of composite {m}")
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n as ((p, e), ...), ascending primes."""
-    out = []
-    p = 2
+    """Prime factorization of n as ((p, e), ...), ascending primes.
+
+    Trial division below 2^10, then Brent's Pollard rho on the cofactor,
+    each prime proven by Miller-Rabin.  InputError when a factor cannot be
+    proven prime or found within the rho step budget.
+    """
+    counts: dict[int, int] = {}
     m = n
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if m > 1:
-        out.append((m, 1))
-    return tuple(out)
+    for p in chain((2,), range(3, _TRIAL_BOUND, 2)):
+        if p * p > m:
+            break
+        while m % p == 0:
+            m //= p
+            counts[p] = counts.get(p, 0) + 1
+    pending = [m] if m > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_BOUND ** 2 or _is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            pending += [d, m // d]
+    out = tuple(sorted(counts.items()))
+    if prod(p ** e for p, e in out) != n:
+        raise InternalConsistencyError(f"factorization {out} does not multiply to {n}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -52,35 +52,69 @@ def minor_gcd_diagonal(a: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _partial_images(rows: list[list[int]], n: int, lo: int, hi: int):
+    """Every x over columns lo..hi-1, in lexicographic order, with the image
+    of x under those columns of the rows, mod n."""
+    part = [row[lo:hi] for row in rows]
+    for x in product(range(n), repeat=hi - lo):
+        yield x, tuple([sum(map(mul, r, x)) % n for r in part])
+
+
+def _tails_by_image(rows: list[list[int]], n: int, h: int, cols: int) -> dict:
+    """Image of the tail columns h.. -> every tail with that image, lowest first."""
+    tails: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for tail, v in _partial_images(rows, n, h, cols):
+        tails.setdefault(v, []).append(tail)
+    return tails
+
+
 def exhaustive_solve_mod(a: IntMatrix, b: list[int], n: int) -> Optional[list[int]]:
-    """First solution of a @ x == b (mod n) in lexicographic order, or None."""
+    """First solution of a @ x == b (mod n) in lexicographic order, or None.
+
+    Meet in the middle (Horowitz-Sahni): x splits into a head x[:h] and a
+    tail x[h:] with h = cols // 2.  The first head in lexicographic order
+    whose remainder b - A_head x_head is the image of some tail, joined to
+    the lowest such tail, is the lowest whole solution.
+    """
     rows = a.to_rows()
-    for x in product(range(n), repeat=a.cols):
-        if all(sum(map(mul, row, x)) % n == bi % n for row, bi in zip(rows, b)):
-            return list(x)
+    target = [bi % n for bi in b]
+    h = a.cols // 2
+    tails = _tails_by_image(rows, n, h, a.cols)
+    for head, v in _partial_images(rows, n, 0, h):
+        hit = tails.get(tuple([(t - s) % n for t, s in zip(target, v)]))
+        if hit:
+            return list(head + hit[0])
     return None
 
 
 def exhaustive_kernel_mod(a: IntMatrix, n: int) -> set[tuple[int, ...]]:
+    """Every x with a @ x == 0 (mod n): heads joined to the tails of opposite image."""
     rows = a.to_rows()
-    return {
-        x for x in product(range(n), repeat=a.cols)
-        if all(sum(map(mul, row, x)) % n == 0 for row in rows)
-    }
+    h = a.cols // 2
+    tails = _tails_by_image(rows, n, h, a.cols)
+    return {head + tail
+            for head, v in _partial_images(rows, n, 0, h)
+            for tail in tails.get(tuple([-s % n for s in v]), ())}
+
+
+def _span(gens, mods: list[int]) -> set[tuple[int, ...]]:
+    """Subgroup generated by flat vectors, slot i taken mod mods[i].  Each
+    generator g grows the span S to S + <g>: the cosets S + k*g for k = 1, 2, ...
+    up to the first k with k*g in S, one list comprehension per coset."""
+    span = {tuple([0] * len(mods))}
+    for g in gens:
+        base = list(span)
+        y = tuple([c % m for c, m in zip(g, mods)])
+        while y not in span:
+            span.update([tuple([(a + b) % m for a, b, m in zip(x, y, mods)])
+                         for x in base])
+            y = tuple([(a + b) % m for a, b, m in zip(y, g, mods)])
+    return span
 
 
 def additive_closure_mod(gens: list[list[int]], dim: int, n: int) -> set[tuple[int, ...]]:
     """Subgroup of (Z/n)^dim generated by the given vectors."""
-    seen = {(0,) * dim}
-    frontier = [(0,) * dim]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = tuple((a + b) % n for a, b in zip(x, g))
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
+    return _span(gens, [n] * dim)
 
 
 def exhaustive_homs(m: FiniteModule, n: FiniteModule) -> list[ModuleMorphism]:
@@ -191,17 +225,7 @@ def phantom_probe_set_by_composition(m: FiniteModule,
 
 def subgroup_elements(sub: Submodule) -> frozenset[tuple[int, ...]]:
     """Every element of a generated subgroup, by closure under addition."""
-    amb = sub.ambient
-    seen = {amb.zero_element()}
-    frontier = [amb.zero_element()]
-    while frontier:
-        x = frontier.pop()
-        for g in sub.generators:
-            y = amb.add(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
+    return frozenset(_span(sub.generators, list(sub.ambient.invariant_factors)))
 
 
 def lowest_non_member(sub: Submodule) -> Optional[tuple[int, ...]]:

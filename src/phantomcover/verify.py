@@ -37,6 +37,7 @@ from .finmod import (
     compose,
     direct_sum,
     directed_colimit,
+    factorize,
     hom_group,
     is_automorphism,
     is_direct_summand,
@@ -251,21 +252,12 @@ def prop_hom_group_exhaustive(chk, rng, ring):
     if count > 4096:
         return "vacuous"
     # the span of well-defined matrices is a subgroup of Hom, so spanning is
-    # exactly a cardinality match against the closed-form hom count
-    efac = n.invariant_factors
-    gens = [g.matrix for g in hom_group(m, n)]
-    zero = tuple((0,) * m.rank for _ in range(n.rank))
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = tuple(tuple((a + b) % efac[i] for a, b in zip(x[i], g[i]))
-                      for i in range(n.rank))
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    chk.ensure(len(seen) == count, "hom generators do not span Hom", src=m, tgt=n)
+    # exactly a cardinality match against the closed-form hom count; matrices
+    # are flat row-major tuples, entry (i, j) taken mod the target's e_i
+    mods = [e for e in n.invariant_factors for _ in range(m.rank)]
+    span = _oracles._span(
+        [[c for row in g.matrix for c in row] for g in hom_group(m, n)], mods)
+    chk.ensure(len(span) == count, "hom generators do not span Hom", src=m, tgt=n)
 
 
 # --- ideals ------------------------------------------------------------------
@@ -611,8 +603,17 @@ def run_suite(seed: int, samples: int,
     unknown = [n for n in names if n not in PROPERTIES]
     if unknown:
         raise InputError(f"unknown properties: {', '.join(unknown)}")
+    for kind, values in (("property", names), ("modulus", moduli)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise InputError(f"repeated {kind} {repeated[0]}")
+    rings = [Ring(n) for n in moduli]
+    for ring in rings:
+        # a modulus that cannot be factored is an input error, not a
+        # failure of every sample
+        factorize(ring.modulus)
     report = SuiteReport()
     for name in names:
-        for n in moduli:
-            report.outcomes.append(run_property(name, seed, Ring(n), samples))
+        for ring in rings:
+            report.outcomes.append(run_property(name, seed, ring, samples))
     return report

@@ -3,6 +3,7 @@ import io
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -173,6 +174,17 @@ def test_verify_suite_command(capsys):
 
 def test_verify_suite_unknown_property(capsys):
     assert main(["verify-suite", "--samples", "1", "--property", "nope"]) == 2
+
+
+def test_verify_suite_rejects_repeated_flags(capsys):
+    code = main(["verify-suite", "--samples", "1",
+                 "--property", "manifest_roundtrip",
+                 "--property", "manifest_roundtrip",
+                 "--ring", "8", "--ring", "8"])
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.out == ""
+    assert cap.err == "error=input detail=repeated property manifest_roundtrip\n"
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])
@@ -354,6 +366,32 @@ def test_failed_annihilation_check_is_an_internal_error(monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match="kernel generator fails annihilation check"):
         exact_linalg.solution_space_mod(exact_linalg.IntMatrix.from_rows([[1]]), 4)
+
+
+@pytest.mark.parametrize("n, p", [
+    (2 ** 61 - 1, 2 ** 61 - 1),
+    ((10 ** 9 + 7) * (10 ** 9 + 9), 10 ** 9 + 7),
+])
+def test_commands_on_large_moduli_end_quickly(tmp_path, capsys, n, p):
+    path = tmp_path / "big.txt"
+    path.write_text(f"[manifest] version=1\n[ring] n={n}\n[module F] factors={n}\n"
+                    f"[module P] factors={p}\n[morphism f] from=F to=P rows=1\n"
+                    "[rep r] f=f\n", encoding="utf-8")
+    sampled = str(tmp_path / "sampled.txt")
+    for argv in (["random-rep", "--ring", str(n), "--seed", "1", "--output", sampled],
+                 ["filtrate", "--input", sampled, "--rep", "sampled", "--kappa", str(n)],
+                 ["phantom-cover", "--input", str(path), "--module", "P"],
+                 ["filtrate", "--input", str(path), "--rep", "r", "--kappa", str(n)]):
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 2, argv
+        assert code == 0, argv
+    capsys.readouterr()
+
+
+def test_unprovable_modulus_is_an_input_error(capsys):
+    assert main(["random-rep", "--ring", str(2 ** 89 - 1), "--seed", "1"]) == 2
+    assert "cannot prove" in capsys.readouterr().err
 
 
 def test_console_script_runs():

@@ -1,4 +1,6 @@
 import random
+from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,36 @@ def test_solution_space_examples():
 def test_solution_space_matches_exhaustive(a, n):
     gens = solution_space_mod(a, n)
     assert additive_closure_mod(gens, a.cols, n) == exhaustive_kernel_mod(a, n)
+
+
+@st.composite
+def small_systems(draw):
+    """(A, b, n) with 0-4 rows and columns, empty shapes included, and b
+    outside [0, n): half the time b = A x0 shifted by multiples of n."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    n = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 16]))
+    a = IntMatrix(r, c, tuple(draw(st.lists(st.integers(-20, 20),
+                                            min_size=r * c, max_size=r * c))))
+    shift = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(0, n - 1), min_size=c, max_size=c))
+        b = [sum(a.at(i, j) * x0[j] for j in range(c)) for i in range(r)]
+    else:
+        b = draw(st.lists(st.integers(0, n - 1), min_size=r, max_size=r))
+    return a, [bi + k * n for bi, k in zip(b, shift)], n
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_systems())
+def test_split_oracles_match_full_scan(system):
+    a, b, n = system
+    rows = a.to_rows()
+    images = {x: [sum(map(mul, row, x)) % n for row in rows]
+              for x in product(range(n), repeat=a.cols)}
+    lowest = next((list(x) for x, v in images.items()
+                   if v == [bi % n for bi in b]), None)
+    assert exhaustive_solve_mod(a, b, n) == lowest
+    assert exhaustive_kernel_mod(a, n) == {x for x, v in images.items() if not any(v)}
 
 
 @settings(max_examples=80, deadline=None)

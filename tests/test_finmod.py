@@ -83,6 +83,46 @@ def test_divisors_of_a_large_modulus():
     assert all(n % d == 0 for d in divs)
 
 
+def _trial_division(n):
+    out, p, m = [], 2, n
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return tuple(out + [(m, 1)] if m > 1 else out)
+
+
+def test_factorize_matches_trial_division():
+    # the uncached function, so the test leaves no cache entries behind
+    for n in range(2, 10 ** 5 + 1):
+        assert finmod.factorize.__wrapped__(n) == _trial_division(n)
+
+
+@pytest.mark.parametrize("n, expected", [
+    (2 ** 61 - 1, ((2 ** 61 - 1, 1),)),
+    ((10 ** 9 + 7) * (10 ** 9 + 9), ((10 ** 9 + 7, 1), (10 ** 9 + 9, 1))),
+    (2 ** 64 + 1, ((274177, 1), (67280421310721, 1))),
+    (1000003 * 1000033 * 1000037, ((1000003, 1), (1000033, 1), (1000037, 1))),
+    # past the Miller-Rabin bound, but each prime factor below it
+    ((2 ** 31 - 1) * (2 ** 61 - 1), ((2 ** 31 - 1, 1), (2 ** 61 - 1, 1))),
+    (2 ** 100 * 3, ((2, 100), (3, 1))),
+])
+def test_factorize_large_moduli(n, expected):
+    assert finmod.factorize.__wrapped__(n) == expected
+
+
+def test_factorize_rejects_what_it_cannot_prove(monkeypatch):
+    with pytest.raises(InputError, match="cannot prove 618970019642690137449562111 prime"):
+        finmod.factorize.__wrapped__(2 ** 89 - 1)
+    monkeypatch.setattr(finmod, "_RHO_STEPS", 64)
+    with pytest.raises(InputError, match="rho steps"):
+        finmod.factorize.__wrapped__((10 ** 9 + 7) * (10 ** 9 + 9))
+
+
 def test_morphism_congruence_witness():
     src = mod(Z4, 2)
     tgt = mod(Z4, 4)

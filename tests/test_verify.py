@@ -1,5 +1,6 @@
 import pytest
 
+from phantomcover import verify
 from phantomcover.errors import InputError
 from phantomcover.finmod import FiniteModule, ModuleMorphism, Ring
 from phantomcover.manifest import parse
@@ -15,6 +16,31 @@ def test_every_property_runs_one_sample():
 def test_run_suite_rejects_unknown_property():
     with pytest.raises(InputError):
         run_suite(seed=1, samples=1, properties=["no_such_property"])
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"properties": ["manifest_roundtrip", "manifest_roundtrip"]},
+     "repeated property manifest_roundtrip"),
+    ({"moduli": (8, 4, 8), "properties": ["manifest_roundtrip"]},
+     "repeated modulus 8"),
+])
+def test_run_suite_rejects_repeats(kwargs, named):
+    with pytest.raises(InputError, match=named):
+        run_suite(seed=1, samples=1, **kwargs)
+
+
+def test_run_suite_rejects_an_unfactorable_modulus():
+    with pytest.raises(InputError, match="cannot prove"):
+        run_suite(seed=1, samples=1, moduli=(4, 2 ** 89 - 1),
+                  properties=["manifest_roundtrip"])
+
+
+def test_hom_group_exhaustive_catches_a_missing_generator(monkeypatch):
+    real = verify.hom_group
+    monkeypatch.setattr(verify, "hom_group", lambda m, n: real(m, n)[:-1])
+    out = run_property("hom_group_exhaustive", seed=1, ring=Ring(8), samples=10)
+    assert out.failures
+    assert {f.message for f in out.failures} == {"hom generators do not span Hom"}
 
 
 def test_failure_records_carry_counterexample_manifest():
