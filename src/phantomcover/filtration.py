@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
-from .finmod import Submodule, element_preimage, pure_closure_counted
+from .finmod import Submodule, element_preimage, impurity, pure_closure_counted
 from .ideals import MorphismIdeal, is_phantom
 from .rep_a2 import (
     RepA2,
@@ -234,6 +234,19 @@ def _is_budget(bound: int, kappa: int, n: int) -> bool:
     return e == 1
 
 
+def _impurity_detail(step: SubRep, index: int) -> str:
+    """Why an impure step is impure: its first impure component, the lowest
+    proper prime power d of n at which it fails, and the lowest witness s in
+    (S meet d*M) \\ d*S."""
+    for name in ("s1", "s2"):
+        found = impurity(getattr(step, name))
+        if found is not None:
+            d, s = found
+            return (f"impure step at index {index}: {name} fails at d={d}, "
+                    f"witness ({','.join(map(str, s))})")
+    raise InternalConsistencyError("impure step with pure components")
+
+
 def verify_filtration(filtration: Filtration,
                       cfg: Optional[FiltrationConfig] = None) -> FiltrationReport:
     """Independently re-check every filtration condition: zero base, purity of
@@ -255,7 +268,7 @@ def verify_filtration(filtration: Filtration,
 
     bad = next((i for i, s in enumerate(steps) if not is_pure_subrep(s)), None)
     conditions["purity"] = ConditionReport(
-        bad is None, "" if bad is None else f"impure step at index {bad}")
+        bad is None, "" if bad is None else _impurity_detail(steps[bad], bad))
 
     chain_ok = all(steps[i + 1].contains(steps[i]) for i in range(len(steps) - 1))
     union_ok = steps[-1].is_full

@@ -963,17 +963,57 @@ def _proper_prime_powers(n: int) -> tuple[int, ...]:
     return tuple(sorted(p ** k for p, e in factorize(n) for k in range(1, e)))
 
 
-def is_pure_submodule(sub: Submodule) -> bool:
-    """Bounded-exponent purity: S meets d*M in d*S for every divisor d of n.
+def _impure_order(sub: Submodule) -> Optional[int]:
+    """The lowest proper prime power d of n with S meet d*M != d*S, or None
+    when S is pure; decided from sizes as `is_pure_submodule` describes."""
+    amb = sub.ambient
+    n = amb.ring.modulus
+    t = amb.rank
+    factors = amb.invariant_factors
+    hs = sub.howell
+    if all(row[j] == n // factors[j] for row, j in zip(hs.rows, hs.pivots)):
+        return None
+    card = hs.cardinality
+    for d in _proper_prime_powers(n):
+        kill = [dd // gcd(d, dd) for dd in factors]
+        image = howell_form([[k * x for k, x in zip(kill, row)] for row in hs.rows],
+                            n, t).cardinality
+        if image == card:
+            continue  # S meet d*M is zero, and so is d*S
+        if image * howell_form([[d * x for x in row] for row in hs.rows],
+                               n, t).cardinality != card:
+            return d
+    return None
 
-    Decided by the Howell witness search `pure_closure_counted` also uses:
-    S is pure iff (S meet d*M) \\ d*S is empty for every proper prime power
-    d of n (`_proper_prime_powers`).  Independent references over every
-    divisor live in the tests and the property suite (element enumeration
-    and `is_direct_summand`).
+
+def is_pure_submodule(sub: Submodule) -> bool:
+    """Bounded-exponent purity: S meets d*M in d*S for every divisor d of n,
+    decided from sizes read off Howell bases; no witness is searched.
+
+    Certificate: if every reduced Howell row of S leads at its column j with
+    n/d_j, the scaled 1 of Z/d_j, the entries above each lead are 0, so S
+    projects onto the sum of Z/d_j over its lead columns, bijectively as |S|
+    is their product: S is a direct summand, so pure, and no form is built.
+    Otherwise, at each proper prime power d (`_proper_prime_powers`), S meet
+    d*M is the kernel on S of M -> M/d*M, v_i -> (d_i / gcd(d, d_i)) v_i,
+    and contains d*S: S is pure at d iff |S| = |image in M/d*M| * |d*S|,
+    two Howell forms of width t.  The tests and the suite cross-check this
+    over every divisor (enumeration, witness search, `is_direct_summand`).
     """
-    return all(_purification_witness(sub, d) is None
-               for d in _proper_prime_powers(sub.ambient.ring.modulus))
+    return _impure_order(sub) is None
+
+
+def impurity(sub: Submodule) -> Optional[tuple[int, tuple[int, ...]]]:
+    """Why S is not pure: the lowest proper prime power d of n at which it
+    fails and the lexicographically lowest witness s in (S meet d*M) \\ d*S,
+    or None when S is pure."""
+    d = _impure_order(sub)
+    if d is None:
+        return None
+    s = _purification_witness(sub, d)
+    if s is None:
+        raise InternalConsistencyError("purity sizes differ but no witness was found")
+    return d, s
 
 
 def is_direct_summand(sub: Submodule) -> Optional[ModuleMorphism]:
@@ -1062,24 +1102,19 @@ def pure_closure_counted(sub: Submodule) -> tuple[Submodule, int]:
     """Deterministic purification: for the lowest divisor d of n with a
     witness, adjoin the lexicographically lowest m with d*m == s, s the
     lexicographically lowest witness in (S meet d*M) \\ d*S; repeat.
-    Terminates by strict growth.  Only the proper prime powers of n are
-    scanned (`_proper_prime_powers`): the lowest failing d is one of them.
+    Terminates by strict growth.
+
+    Each round decides purity from sizes first (`is_pure_submodule`); they
+    also name the lowest failing d, and only then is a witness searched, at
+    that d alone (`impurity`).  The last round searches for none.
 
     Returns the purified submodule and the number of adjoined witnesses.
     """
     amb = sub.ambient
-    if amb.rank == 0:
-        return sub, 0
-    divisors = _proper_prime_powers(amb.ring.modulus)
     cur = sub
     witnesses = 0
     while True:
-        found = None
-        for d in divisors:
-            s_elt = _purification_witness(cur, d)
-            if s_elt is not None:
-                found = (d, s_elt)
-                break
+        found = impurity(cur)
         if found is None:
             return cur, witnesses
         cur = cur.join([_lowest_scalar_preimage(amb, *found)])

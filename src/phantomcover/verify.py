@@ -34,6 +34,8 @@ from .finmod import (
     Ring,
     Submodule,
     _element_system,
+    _proper_prime_powers,
+    _purification_witness,
     compose,
     direct_sum,
     directed_colimit,
@@ -510,6 +512,11 @@ def prop_purification_properties(chk, rng, ring):
     sub = _s.random_submodule(rng, m)
     closed = pure_closure(sub)
     chk.ensure(is_pure_submodule(closed), "pure closure is not pure", ambient=m)
+    # the closure stops on the size test of is_pure_submodule; the witness
+    # search does not share that argument
+    chk.ensure(all(_purification_witness(closed, d) is None
+                   for d in _proper_prime_powers(ring.modulus)),
+               "pure closure has a purification witness", ambient=m)
     chk.ensure(closed.contains_submodule(sub),
                "pure closure does not contain its seed", ambient=m)
     chk.ensure(pure_closure(closed) == closed, "pure closure is not idempotent",

@@ -149,7 +149,20 @@ def test_verify_filtration_catches_impure_step():
     report = verify_filtration(filt, CFG)
     assert not report.ok
     assert not report.conditions["purity"].ok
-    assert "index 1" in report.conditions["purity"].detail
+    detail = report.conditions["purity"].detail
+    assert "index 1" in detail
+    # 2 lies in S1 meet 2*M1 but not in 2*S1 = 0
+    assert detail.endswith("s1 fails at d=2, witness (2)")
+
+
+def test_verify_filtration_names_the_impure_component():
+    rep = doubling_rep(2)
+    # s1 = <(1, 0)> is a summand; s2 = <(1, 0), (0, 2)> fails at d = 2 with
+    # witness (0, 2)
+    step = SubRep(rep, Submodule(rep.m1, ((1, 0),)), Submodule(rep.m2, ((1, 0), (0, 2))))
+    filt = Filtration(rep, (SubRep.zero(rep), step, SubRep.full(rep)), ())
+    detail = verify_filtration(filt, CFG).conditions["purity"].detail
+    assert detail == "impure step at index 1: s2 fails at d=2, witness (0,2)"
 
 
 def _count_step_quotients(monkeypatch):

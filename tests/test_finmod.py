@@ -41,6 +41,7 @@ from phantomcover.oracles import (
     additive_closure_mod,
     exhaustive_homs,
     hom_count,
+    lowest_purification_witness,
     subgroup_elements,
 )
 
@@ -528,6 +529,110 @@ def test_purity_at_proper_prime_powers_matches_every_divisor(data):
     closed, count = finmod.pure_closure_counted(sub)
     assert closed.generators == cur.generators
     assert count == witnesses
+
+
+def _certified(sub):
+    """Every reduced Howell row of sub leads at its column j with n/d_j."""
+    n = sub.ambient.ring.modulus
+    factors = sub.ambient.invariant_factors
+    hs = sub.howell
+    return all(row[j] == n // factors[j] for row, j in zip(hs.rows, hs.pivots))
+
+
+@st.composite
+def certified_submodules(draw, m):
+    """One generator e_j + sum (d_k/d_j) r_k e_k per chosen column j, the sum
+    over the later unchosen columns k: each has order d_j, and its Howell row
+    leads at j with n/d_j and is zero at every other chosen column."""
+    factors = m.invariant_factors
+    chosen = draw(st.sets(st.sampled_from(range(m.rank)))) if m.rank else set()
+    gens = []
+    for j in sorted(chosen):
+        g = [0] * m.rank
+        g[j] = 1
+        for k in range(j + 1, m.rank):
+            if k not in chosen:
+                g[k] = (factors[k] // factors[j]) * draw(st.integers(0, factors[j] - 1))
+        gens.append(tuple(g))
+    return Submodule(m, tuple(gens))
+
+
+@seed(20261019)
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_summand_certificate_gives_a_retraction(data):
+    ring = data.draw(rings((4, 8, 9, 12, 16, 18, 36)))
+    m = data.draw(modules(ring, max_card=128))
+    built = data.draw(st.booleans())
+    sub = data.draw(certified_submodules(m) if built else submodules(m))
+    assert _certified(sub) or not built
+    if _certified(sub):
+        assert is_direct_summand(sub) is not None
+        assert is_pure_submodule(sub)
+        assert finmod.impurity(sub) is None
+
+
+@seed(20261019)
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_purity_on_scaled_generators_matches_the_witness_oracle(data):
+    # generators times a proper divisor of n are mostly impure
+    ring = data.draw(rings((8, 16, 27, 36, 72)))
+    n = ring.modulus
+    m = data.draw(modules(ring, max_card=128))
+    proper = [d for d in ring.divisors() if 1 < d < n]
+    gens = []
+    for g in data.draw(st.lists(elements(m), max_size=3)):
+        gens.append(m.smul(data.draw(st.sampled_from(proper)), g))
+    sub = Submodule(m, tuple(gens))
+    witnesses = [(d, lowest_purification_witness(sub, d)) for d in ring.divisors()]
+    failing = [(d, w) for d, w in witnesses if w is not None]
+    assert is_pure_submodule(sub) == (not failing)
+    assert finmod.impurity(sub) == (failing[0] if failing else None)
+
+
+def _record_howell_widths(monkeypatch):
+    widths = []
+    real = finmod.howell_form
+
+    def recording(rows, n, width):
+        widths.append(width)
+        return real(rows, n, width)
+
+    monkeypatch.setattr(finmod, "howell_form", recording)
+    return widths
+
+
+@seed(20261019)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_purity_builds_at_most_two_narrow_forms_per_prime_power(data):
+    ring = data.draw(rings((4, 8, 12, 16, 36, 72)))
+    m = data.draw(modules(ring, max_card=128))
+    built = data.draw(st.booleans())
+    sub = data.draw(certified_submodules(m) if built else submodules(m))
+    sub.howell  # the subgroup's own form, cached on it
+    with pytest.MonkeyPatch.context() as mp:
+        widths = _record_howell_widths(mp)
+        is_pure_submodule(sub)
+    if _certified(sub):
+        assert widths == []
+    else:
+        assert len(widths) <= 2 * len(finmod._proper_prime_powers(ring.modulus))
+        assert all(w == m.rank for w in widths)
+
+
+def test_purity_sizes_without_a_certificate():
+    # 2 * (Z/4) in Z/4 fails at d = 2: |S| = 2, its image in M/2M is 0, 2S = 0
+    m = mod(Z4, 4)
+    assert finmod.impurity(Submodule(m, ((2,),))) == (2, (2,))
+    # (1, 1) in Z/2 + Z/4 spans a summand, complemented by (1, 0), but its
+    # Howell basis (2, 1), (0, 2) leads at column 1 with 2, not 1: no
+    # certificate, and pure by sizes
+    pure = Submodule(mod(Z4, 2, 4), ((1, 1),))
+    assert not _certified(pure)
+    assert finmod.impurity(pure) is None
+    assert is_direct_summand(pure) is not None
 
 
 @seed(20261018)
