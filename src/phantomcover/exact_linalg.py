@@ -51,11 +51,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
-    @classmethod
-    def from_diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
-        k = len(diag)
-        return cls(k, k, tuple(diag[i] if i == j else 0 for i in range(k) for j in range(k)))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -67,15 +62,6 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise InputError("hstack: row count mismatch")
-        data = []
-        for i in range(self.rows):
-            data.extend(self.row(i))
-            data.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, tuple(data))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -100,15 +86,14 @@ class IntMatrix:
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
 
-    U and its inverse come together, when the row transforms are tracked
-    (canonical quotients read their generator lifts off U^-1); V comes when
-    the column transforms are.  A transform not tracked is None.
+    U and its inverse are always tracked (canonical quotients read their
+    generator lifts off U^-1); V is None when the column transforms are not.
     """
 
-    u: Optional[IntMatrix]
+    u: IntMatrix
     d: IntMatrix
     v: Optional[IntMatrix]
-    u_inv: Optional[IntMatrix]
+    u_inv: IntMatrix
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal()
@@ -150,39 +135,35 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def smith_normal_form(a: IntMatrix, *, row_transforms: bool = True,
-                      col_transforms: bool = True) -> SmithDecomposition:
+def smith_normal_form(a: IntMatrix, *, col_transforms: bool = True) -> SmithDecomposition:
     """Smith normal form with deterministic minimum-absolute-value pivoting.
 
     Entries are cleared by unimodular 2x2 extended-gcd transforms, which
     reach the gcd in one step per entry and keep intermediate growth tame.
-    `row_transforms` tracks U and U^-1, `col_transforms` tracks V; a
-    transform not asked for is never updated and comes back as None.  The
-    pivot sequence reads only D, so D and every tracked transform are the
-    same whichever are asked for.
+    U and U^-1 are always tracked; `col_transforms` tracks V, which is
+    otherwise never updated and comes back as None.  The pivot sequence
+    reads only D, so D, U and U^-1 are the same either way.
     """
     m, n = a.rows, a.cols
     d = a.to_rows()
-    u = uinv = v = None
-    if row_transforms:
-        u = [[0] * m for _ in range(m)]
-        uinv = [[0] * m for _ in range(m)]
-        for i in range(m):
-            u[i][i] = uinv[i][i] = 1
+    u = [[0] * m for _ in range(m)]
+    uinv = [[0] * m for _ in range(m)]
+    for i in range(m):
+        u[i][i] = uinv[i][i] = 1
+    v = None
     if col_transforms:
         v = [[0] * n for _ in range(n)]
         for j in range(n):
             v[j][j] = 1
     # row ops act on the rows of d and u and, inverted, on the columns of
     # uinv; column ops act on the columns of d and v
-    row_mats = (d,) if u is None else (d, u)
-    inv_rows = () if uinv is None else uinv
+    row_mats = (d, u)
     col_mats = (d,) if v is None else (d, v)
 
     def swap_rows(i, j):
         for mat in row_mats:
             mat[i], mat[j] = mat[j], mat[i]
-        for r in inv_rows:
+        for r in uinv:
             r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
@@ -194,7 +175,7 @@ def smith_normal_form(a: IntMatrix, *, row_transforms: bool = True,
         # row_dst += q * row_src; the inverse is a column op on uinv
         for mat in row_mats:
             mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
-        for r in inv_rows:
+        for r in uinv:
             r[src] -= q * r[dst]
 
     def add_col(dst, src, q):
@@ -209,7 +190,7 @@ def smith_normal_form(a: IntMatrix, *, row_transforms: bool = True,
             mat[t] = [e11 * x + e12 * y for x, y in zip(rt, ri)]
             mat[i] = [e21 * x + e22 * y for x, y in zip(rt, ri)]
         # uinv <- uinv * E^-1, E^-1 = [[e22, -e12], [-e21, e11]]
-        for r in inv_rows:
+        for r in uinv:
             x, y = r[t], r[i]
             r[t] = e22 * x - e21 * y
             r[i] = -e12 * x + e11 * y
@@ -225,7 +206,7 @@ def smith_normal_form(a: IntMatrix, *, row_transforms: bool = True,
     def negate_row(i):
         for mat in row_mats:
             mat[i] = [-x for x in mat[i]]
-        for r in inv_rows:
+        for r in uinv:
             r[i] = -r[i]
 
     t = 0
@@ -290,13 +271,6 @@ def smith_normal_form(a: IntMatrix, *, row_transforms: bool = True,
 
     return SmithDecomposition(u=pack(u, m), d=pack(d, n), v=pack(v, n),
                               u_inv=pack(uinv, m))
-
-
-def integer_kernel_basis(a: IntMatrix) -> list[list[int]]:
-    """Basis of the lattice {x in Z^cols : a @ x == 0}."""
-    s = smith_normal_form(a, row_transforms=False)
-    c = a.cols
-    return [list(s.v.entries[k::c]) for k in range(s.rank, c)]
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from .exact_linalg import (
     graph_kernel,
     graph_solution,
     howell_form,
-    integer_kernel_basis,
     smith_normal_form,
+    solution_space_mod,
     solve_mod,
 )
 
@@ -453,9 +453,6 @@ class Submodule:
             raise InputError("image_under: morphism source must be the ambient module")
         return Submodule(f.target, tuple(f.apply(g) for g in self.generators))
 
-    def presentation(self) -> tuple[FiniteModule, ModuleMorphism]:
-        return subgroup_presentation(self)
-
     @property
     def cardinality(self) -> int:
         return self.howell.cardinality
@@ -529,84 +526,56 @@ def cokernel(f: ModuleMorphism) -> tuple[FiniteModule, ModuleMorphism]:
     return qd.module, qd.projection
 
 
-def subgroup_presentation(sub: Submodule) -> tuple[FiniteModule, ModuleMorphism]:
-    return _subgroup_presentation_cached(sub)
-
-
 @lru_cache(maxsize=None)
-def _subgroup_presentation_cached(sub: Submodule) -> tuple[FiniteModule, ModuleMorphism]:
-    """Canonical form of a generated subgroup with an injective embedding.
+def subgroup_presentation(sub: Submodule) -> tuple[FiniteModule, ModuleMorphism]:
+    """Canonical form of a generated subgroup with an injective embedding,
+    read off its reduced Howell basis, so it depends on the subgroup alone.
 
-    Works with the preimage lattice L = <generators> + <relations> of Z^t:
-    a basis B of L is read off the Smith form of the combined generator
-    matrix, the relation lattice is rewritten in that basis, and a second
-    Smith form canonicalizes the quotient L / relations.
+    The Howell rows h_1..h_r, with leading entries p_i, generate S.  By the
+    Howell property (n/p_i) * h_i, which vanishes through its leading
+    column, is sum(c_k * h_k) over the later rows; these r relations form
+    an upper-triangular lattice of determinant prod(n/p_i) = |S|, so they
+    present S, and one Smith form puts Z^r / relations in canonical form.
     """
     amb = sub.ambient
-    t = amb.rank
-    ring = amb.ring
-    if t == 0:
-        zero = FiniteModule.zero(ring)
-        return zero, ModuleMorphism.zero_map(zero, amb)
-    d = amb.invariant_factors
-    cols = list(sub.generators)
-    for j in range(t):
-        cols.append([d[j] if i == j else 0 for i in range(t)])
-    s1 = smith_normal_form(IntMatrix(t, len(cols), tuple(chain.from_iterable(zip(*cols)))),
-                           col_transforms=False)
-    diag1 = s1.diagonal()[:t]
-    if any(x == 0 for x in diag1):
-        raise InternalConsistencyError("subgroup lattice lost full rank")
-    # relation lattice in the basis B = u_inv * diag1
-    c_entries = []
-    for k, dk in enumerate(diag1):
-        for uk, dj in zip(s1.u.row(k), d):
-            num = uk * dj
-            if num % dk != 0:
-                raise InternalConsistencyError("relation lattice escapes subgroup lattice")
-            c_entries.append(num // dk)
-    s2 = smith_normal_form(IntMatrix(t, t, tuple(c_entries)), col_transforms=False)
-    diag2 = s2.diagonal()
-    kept = [k for k in range(t) if diag2[k] != 1]
-    if any(diag2[k] == 0 for k in kept):
-        raise InternalConsistencyError("subgroup presentation is not finite")
-    factors = tuple(diag2[k] for k in kept)
-    module = FiniteModule(ring, factors)
-    # embedding columns: B @ u2_inv restricted to the kept indices
-    basis = [tuple(map(mul, s1.u_inv.row(i), diag1)) for i in range(t)]
-    emb_cols = []
-    for k in kept:
-        u2_col = s2.u_inv.entries[k::t]
-        emb_cols.append(amb.reduce([sum(map(mul, b, u2_col)) for b in basis]))
-    emb = ModuleMorphism.from_columns(module, amb, emb_cols)
-    expected = prod(d) // prod(diag1)
-    if module.cardinality != expected:
+    hs = sub.howell
+    n = amb.ring.modulus
+    r = len(hs.rows)
+    rels = []
+    for i, (row, j) in enumerate(zip(hs.rows, hs.pivots)):
+        scale = n // row[j]
+        rel = [0] * r
+        rel[i] = scale
+        x = [scale * v % n for v in row]
+        for k in range(i + 1, r):
+            later, jk = hs.rows[k], hs.pivots[k]
+            q = x[jk] // later[jk]
+            if q:
+                rel[k] = -q
+                x = [(a - q * b) % n for a, b in zip(x, later)]
+        if any(x):
+            raise InternalConsistencyError("Howell row relation does not reduce to zero")
+        rels.append(rel)
+    factors, _, lift_cols = _quotient_structure(r, rels)
+    module = FiniteModule(amb.ring, factors)
+    # column k is sum_i lift_cols[k][i] * h_i, back in ambient coordinates
+    gens = [_unscaled(amb, row) for row in hs.rows]
+    emb_cols = [amb.reduce([sum(map(mul, col, g)) for g in zip(*gens)])
+                for col in lift_cols]
+    if module.cardinality != sub.cardinality:
         raise InternalConsistencyError("subgroup presentation has wrong cardinality")
-    return module, emb
-
-
-def kernel(f: ModuleMorphism) -> tuple[FiniteModule, ModuleMorphism]:
-    """Kernel in canonical form with an injective embedding into the source."""
-    return _kernel_cached(f)
+    return module, ModuleMorphism.from_columns(module, amb, emb_cols)
 
 
 @lru_cache(maxsize=None)
-def _kernel_cached(f: ModuleMorphism) -> tuple[FiniteModule, ModuleMorphism]:
-    src, tgt = f.source, f.target
-    if src.rank == 0:
-        zero = FiniteModule.zero(src.ring)
-        return zero, ModuleMorphism.zero_map(zero, src)
-    if tgt.rank == 0:
-        return subgroup_presentation(Submodule.full(src))
-    rows = [list(f.matrix[i]) for i in range(tgt.rank)]
-    w = IntMatrix.from_rows(rows, cols=src.rank).hstack(
-        IntMatrix.from_diagonal(list(tgt.invariant_factors)))
-    gens = []
-    for vec in integer_kernel_basis(w):
-        g = src.reduce(vec[:src.rank])
-        if any(g):
-            gens.append(g)
-    return subgroup_presentation(Submodule(src, tuple(gens)))
+def kernel(f: ModuleMorphism) -> tuple[FiniteModule, ModuleMorphism]:
+    """Kernel in canonical form with an injective embedding into the source:
+    the solution group of f's scaled congruences, presented by its Howell basis."""
+    src = f.source
+    n = src.ring.modulus
+    cols = [f.column(j) for j in range(src.rank)]
+    a, _ = _element_system(n, f.target.invariant_factors, cols, (0,) * f.target.rank)
+    return subgroup_presentation(Submodule(src, tuple(solution_space_mod(a, n))))
 
 
 def kernel_submodule(f: ModuleMorphism) -> Submodule:
@@ -1020,7 +989,7 @@ def is_direct_summand(sub: Submodule) -> Optional[ModuleMorphism]:
     """A retraction r with r o embedding == id onto the canonical presentation
     of the submodule, or None.  Rows of r are solved independently."""
     amb = sub.ambient
-    k, emb = sub.presentation()
+    k, emb = subgroup_presentation(sub)
     if k.rank == 0:
         return ModuleMorphism.zero_map(amb, k)
     n = amb.ring.modulus

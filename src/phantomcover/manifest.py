@@ -31,6 +31,7 @@ FORMAT_VERSION = 1
 
 _NAME = re.compile(r"^[A-Za-z0-9_.:-]+$")
 _HEADER = re.compile(r"^\[([a-z]+)(?:\s+([^\]]+))?\]\s*(.*)$")
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 @dataclass
@@ -125,10 +126,11 @@ class Manifest:
 
 
 def _int(text: Optional[str], what: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        raise InputError(f"line {lineno}: malformed {what} {text!r}") from None
+    """An ASCII decimal integer; int() alone would also take '1_0', '+8'
+    and non-ASCII digits."""
+    if text is None or not _DECIMAL.fullmatch(text):
+        raise InputError(f"line {lineno}: malformed {what} {text!r}")
+    return int(text)
 
 
 def _ints(text: str, what: str, lineno: int) -> list[int]:

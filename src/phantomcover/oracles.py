@@ -12,7 +12,7 @@ from typing import Optional
 
 from .approx import module_classes
 from .errors import InternalConsistencyError
-from .exact_linalg import IntMatrix, determinant
+from .exact_linalg import IntMatrix, determinant, smith_normal_form
 from .finmod import (
     FiniteModule,
     ModuleMorphism,
@@ -50,6 +50,15 @@ def minor_gcd_diagonal(a: IntMatrix) -> tuple[int, ...]:
             out.append(g // prev)
             prev = g
     return tuple(out)
+
+
+def integer_kernel_basis(a: IntMatrix) -> list[list[int]]:
+    """Basis of the lattice {x in Z^cols : a @ x == 0}, read off the column
+    transform V of the full Smith form: its columns past the rank.  The
+    cross-check of `finmod.kernel`, which solves over Z/n instead."""
+    s = smith_normal_form(a)
+    c = a.cols
+    return [list(s.v.entries[k::c]) for k in range(s.rank, c)]
 
 
 def _partial_images(rows: list[list[int]], n: int, lo: int, hi: int):

@@ -48,6 +48,7 @@ from .finmod import (
     kernel,
     pure_closure,
     solve_left_factor,
+    subgroup_presentation,
 )
 
 DEFAULT_MODULI = (2, 3, 4, 6, 8, 9, 12)
@@ -180,6 +181,9 @@ def prop_canonicalization(chk, rng, ring):
     q2 = quotient_by(m, shuffled + gens)
     chk.ensure(q1.module == q2.module,
                "same subgroup canonicalized differently", ambient=m)
+    chk.ensure(subgroup_presentation(Submodule(m, tuple(gens)))
+               == subgroup_presentation(Submodule(m, tuple(shuffled + gens))),
+               "same subgroup presented differently", ambient=m)
 
 
 def prop_purity_summand_equivalence(chk, rng, ring):

@@ -425,6 +425,22 @@ def test_non_integer_version_is_an_input_error(demo, capsys):
     assert "line 1: malformed version 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, value", [
+    (4, "1_0"),     # int() reads 10, which is 2 mod 8
+    (2, "+8"),
+    (2, "\u0668"),  # ARABIC-INDIC DIGIT EIGHT
+    (2, "\uff18"),  # FULLWIDTH DIGIT EIGHT
+], ids=["underscore", "plus", "arabic-indic", "fullwidth"])
+def test_non_ascii_decimal_number_is_an_input_error(tmp_path, capsys, line, value):
+    path = tmp_path / "mod.txt"
+    records = ["[manifest] version=1", "[ring] n=8", "[module M] factors=8",
+               "[morphism f] from=M to=M rows=2"]
+    records[line - 1] = records[line - 1].rsplit("=", 1)[0] + "=" + value
+    path.write_text("\n".join(records) + "\n", encoding="utf-8")
+    assert main(["check-phantom", "--input", str(path), "--morphism", "f"]) == 2
+    assert f"line {line}: malformed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("prefix, replacement, what", [
     ("[filtration]", "[filtration] target=bigrep kappa=abc", "kappa 'abc'"),
     ("[step 1]", "[step one] s1=0,0,1 s2=0,0,2;0,0,1", "step index 'one'"),

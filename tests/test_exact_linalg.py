@@ -10,7 +10,6 @@ from phantomcover.errors import InputError
 from phantomcover.exact_linalg import (
     IntMatrix,
     determinant,
-    integer_kernel_basis,
     smith_normal_form,
     solution_space_mod,
     solve_mod,
@@ -19,6 +18,7 @@ from phantomcover.oracles import (
     additive_closure_mod,
     exhaustive_kernel_mod,
     exhaustive_solve_mod,
+    integer_kernel_basis,
     minor_gcd_diagonal,
 )
 
@@ -101,19 +101,13 @@ def _seeded_matrices():
                                         for _ in range(r * c)))
 
 
-@pytest.mark.parametrize("row_transforms", [True, False])
 @pytest.mark.parametrize("col_transforms", [True, False])
-def test_snf_tracks_only_the_transforms_asked_for(row_transforms, col_transforms):
+def test_snf_tracks_only_the_transforms_asked_for(col_transforms):
     for a in _seeded_matrices():
         full = smith_normal_form(a)
         assert_valid_snf(a, full)
-        lean = smith_normal_form(a, row_transforms=row_transforms,
-                                 col_transforms=col_transforms)
-        assert lean.d == full.d
-        if row_transforms:
-            assert (lean.u, lean.u_inv) == (full.u, full.u_inv)
-        else:
-            assert lean.u is None and lean.u_inv is None
+        lean = smith_normal_form(a, col_transforms=col_transforms)
+        assert (lean.d, lean.u, lean.u_inv) == (full.d, full.u, full.u_inv)
         assert lean.v == (full.v if col_transforms else None)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from conftest import elements, modules, modules_with_submodule, morphisms, rings, submodules
 from phantomcover import finmod
 from phantomcover.errors import IllDefinedMorphismError, InputError, InternalConsistencyError
-from phantomcover.exact_linalg import solution_space_mod, solve_mod
+from phantomcover.exact_linalg import IntMatrix, solution_space_mod, solve_mod
 from phantomcover.finmod import (
     Diagram,
     FiniteModule,
@@ -41,6 +41,7 @@ from phantomcover.oracles import (
     additive_closure_mod,
     exhaustive_homs,
     hom_count,
+    integer_kernel_basis,
     lowest_purification_witness,
     subgroup_elements,
 )
@@ -285,6 +286,67 @@ def test_subgroup_presentation_roundtrip(mw):
     k, emb = subgroup_presentation(sub)
     assert is_injective(emb)
     assert {emb.apply(x) for x in k.elements()} == subgroup_elements(sub)
+
+
+PRESENTATION_MODULI = (2, 3, 4, 6, 8, 9, 12, 16, 36)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subgroup_presentation_depends_on_the_subgroup_alone(data):
+    ring = data.draw(rings(PRESENTATION_MODULI))
+    m = data.draw(modules(ring, max_card=256))
+    sub = data.draw(submodules(m, max_gens=4))
+    gens = list(sub.generators)
+    again = data.draw(st.permutations(gens))
+    if gens:
+        again += data.draw(st.lists(st.sampled_from(gens), max_size=3))
+    k, emb = subgroup_presentation(sub)
+    assert subgroup_presentation(Submodule(m, tuple(again))) == (k, emb)
+    assert is_injective(emb)
+    assert same_subgroup(image_submodule(emb), sub)
+    assert k.cardinality == sub.cardinality
+
+
+def test_subgroup_presentation_ignores_the_generator_order():
+    m = mod(Z4, 4, 4)
+    first = subgroup_presentation(Submodule(m, ((0, 1), (2, 1))))
+    assert subgroup_presentation(Submodule(m, ((2, 1), (0, 1)))) == first
+    assert first == (mod(Z4, 2, 4), morph(mod(Z4, 2, 4), m, [[2, 0], [0, 1]]))
+
+
+def _check_kernel(f):
+    """kernel_submodule(f) against the integer kernel lattice of
+    [f | diag(target factors)] and against enumeration."""
+    src, tgt = f.source, f.target
+    wide = IntMatrix.from_rows(
+        [list(row) + [e if i == l else 0 for l in range(tgt.rank)]
+         for i, (row, e) in enumerate(zip(f.matrix, tgt.invariant_factors))],
+        cols=src.rank + tgt.rank)
+    lattice = Submodule(src, tuple(tuple(v[:src.rank]) for v in integer_kernel_basis(wide)))
+    ker = kernel_submodule(f)
+    assert same_subgroup(ker, lattice)
+    assert ker.cardinality == sum(1 for x in src.elements() if not any(f.apply(x)))
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_matches_the_integer_lattice_and_enumeration(data):
+    ring = data.draw(rings(PRESENTATION_MODULI))
+    src = data.draw(modules(ring, max_card=128, max_rank=3))
+    tgt = data.draw(modules(ring, max_card=128, max_rank=3))
+    _check_kernel(data.draw(morphisms(src, tgt)))
+
+
+@pytest.mark.parametrize("src, tgt", [
+    (mod(Z12), mod(Z12, 2, 6)),
+    (mod(Z12, 2, 6), mod(Z12)),
+    (mod(Z12), mod(Z12)),
+])
+def test_kernel_with_rank_zero_ends(src, tgt):
+    _check_kernel(ModuleMorphism.zero_map(src, tgt))
 
 
 # --- pushout ----------------------------------------------------------------
