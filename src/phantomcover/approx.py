@@ -208,16 +208,22 @@ class TransportResult:
 def pushout_transport(phi: ModuleMorphism, v: ModuleMorphism) -> TransportResult:
     """Push a surjective phantom phi out along a pure mono v on its kernel;
     the induced map to the original target is again phantom."""
+    return _transport(phi, v, *kernel(phi))
+
+
+def _transport(phi: ModuleMorphism, v: ModuleMorphism, k: FiniteModule,
+               u: ModuleMorphism) -> TransportResult:
+    """`pushout_transport` given the kernel presentation (k, u) of phi."""
     if not is_surjective(phi):
         raise InputError("pushout_transport needs a surjective morphism")
     if not is_phantom(phi):
         raise InputError("pushout_transport needs a phantom morphism")
-    k, u = kernel(phi)
     if v.source != k:
         raise InputError("v must start at the canonical kernel presentation")
-    if not is_injective(v):
+    image = image_submodule(v)
+    if image.cardinality != k.cardinality:
         raise InputError("v must be injective")
-    if not is_pure_submodule(image_submodule(v)):
+    if not is_pure_submodule(image):
         raise InputError("v must have pure image")
     po = pushout(u, v)
     phi_prime = pushout_mediating(
@@ -239,7 +245,7 @@ def extract_retract(phi: ModuleMorphism, v: ModuleMorphism) -> ModuleMorphism:
     k, u = kernel(phi)
     if v.source != k:
         raise InputError("v must start at the canonical kernel presentation")
-    transported = pushout_transport(phi, v)
+    transported = _transport(phi, v, k, u)
     t = solve_left_factor(phi, transported.phi_prime)
     if t is None:
         raise InternalConsistencyError(

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
-from .finmod import Submodule, element_preimage, impurity, pure_closure_counted
+from .finmod import QuotientData, Submodule, impurity, pure_closure_counted
 from .ideals import MorphismIdeal, is_phantom
 from .rep_a2 import (
     RepA2,
     SubRep,
+    _quotient_rep_data,
     in_ideal_class,
     is_pure_subrep,
     quotient_rep,
@@ -139,6 +140,15 @@ def _fresh_element(rep: RepA2, cur: SubRep):
     return None
 
 
+def _lowest_preimage(qd: QuotientData, sub: Submodule, y) -> tuple[int, ...]:
+    """The lexicographically lowest x with qd.projection(x) == y, for qd the
+    quotient by sub: the preimages are the coset of any lift modulo sub."""
+    x = sub.coset_minimum(qd.lift(y))
+    if qd.projection.apply(x) != y:
+        raise InternalConsistencyError("coset minimum does not project to the generator")
+    return x
+
+
 def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
     """Chain 0 = S_0 < S_1 < ... < S_len = rep of pure subrepresentations
     with phantom quotient steps of bounded size.
@@ -154,7 +164,7 @@ def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
     reports: list[StepReport] = []
     while not steps[-1].is_full:
         cur = steps[-1]
-        quot, proj = quotient_rep(cur)
+        quot, proj, q1, q2 = _quotient_rep_data(cur)
         if (quot.m1.cardinality <= cfg.kappa
                 and quot.m2.cardinality <= cfg.kappa):
             steps.append(SubRep.full(rep))
@@ -170,18 +180,10 @@ def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
         else:
             seeds1, seeds2 = [], [proj.s.apply(x)]
         res = phantom_pure_subrep(quot, seeds1, seeds2, cfg)
-        gens1 = list(cur.s1.generators)
-        for g in res.subrep.s1.generators:
-            pre = element_preimage(proj.d, g)
-            if pre is None:
-                raise InternalConsistencyError("projection is not surjective")
-            gens1.append(pre)
-        gens2 = list(cur.s2.generators)
-        for g in res.subrep.s2.generators:
-            pre = element_preimage(proj.s, g)
-            if pre is None:
-                raise InternalConsistencyError("projection is not surjective")
-            gens2.append(pre)
+        gens1 = list(cur.s1.generators) + [
+            _lowest_preimage(q1, cur.s1, g) for g in res.subrep.s1.generators]
+        gens2 = list(cur.s2.generators) + [
+            _lowest_preimage(q2, cur.s2, g) for g in res.subrep.s2.generators]
         nxt = SubRep(rep, Submodule(rep.m1, tuple(gens1)),
                      Submodule(rep.m2, tuple(gens2)))
         if not is_pure_subrep(nxt):

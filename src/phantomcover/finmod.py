@@ -442,6 +442,12 @@ class Submodule:
     def contains(self, x: Sequence[int]) -> bool:
         return self.howell.contains(_scaled(self.ambient, self.ambient.reduce(x)))
 
+    def coset_minimum(self, x: Sequence[int]) -> tuple[int, ...]:
+        """The lexicographically lowest element of x + S: x reduced against
+        the Howell basis in the scaled coordinates, which keep the order."""
+        amb = self.ambient
+        return _unscaled(amb, self.howell.reduce(_scaled(amb, amb.reduce(x))))
+
     def contains_submodule(self, other: "Submodule") -> bool:
         return all(self.contains(g) for g in other.generators)
 
@@ -479,7 +485,25 @@ def _quotient_structure(ncoords: int, relations: Sequence[Sequence[int]]):
     invariant factors, `proj_rows[k]` expresses canonical generator k in the
     ambient coordinates, and `lift_cols[k]` is an integer preimage of it.
     The quotient must be finite (callers include ambient relations).
+
+    The data are those of the Smith form of the relation matrix.  A
+    monomial lattice, each relation a positive multiple of one coordinate,
+    is read off in closed form where that Smith form only permutes rows.
     """
+    entries: list[list[int]] = [[] for _ in range(ncoords)]
+    for rel in relations:
+        support = [i for i, x in enumerate(rel) if x]
+        if len(support) > 1 or (support and rel[support[0]] < 0):
+            return _smith_structure(ncoords, relations)
+        if support:
+            entries[support[0]].append(rel[support[0]])
+    return _monomial_structure(entries) or _smith_structure(ncoords, relations)
+
+
+def _smith_structure(ncoords: int, relations: Sequence[Sequence[int]]):
+    """`_quotient_structure` through the Smith form: the factors are the
+    diagonal entries other than 1, proj_rows the matching rows of U and
+    lift_cols the matching columns of U^-1."""
     w = IntMatrix(ncoords, len(relations), tuple(chain.from_iterable(zip(*relations))))
     s = smith_normal_form(w, col_transforms=False)
     diag = s.diagonal()
@@ -497,6 +521,36 @@ def _quotient_structure(ncoords: int, relations: Sequence[Sequence[int]]):
     return tuple(factors), proj_rows, lift_cols
 
 
+def _monomial_structure(entries: Sequence[Sequence[int]]):
+    """`_smith_structure` of the lattice spanned by the positive multiples
+    entries[i] of each coordinate i, without a Smith form; None when that
+    form would do more than permute rows.
+
+    On such a lattice every column of the relation matrix has one nonzero
+    entry, so the Smith form's row-major min-|x| rule swaps to position t
+    the first remaining coordinate holding the smallest entry, and column
+    operations alone bring its pivot down to the gcd of its entries.  It
+    adds a row only when a later coordinate has an entry the pivot does
+    not divide, that is, when the gcds in swap order are not a divisibility
+    chain.  Otherwise U and U^-1 are permutation matrices: canonical
+    generator k is the unit vector of the coordinate at position k, as a
+    projection row and as a lift.
+    """
+    if not all(entries):
+        return None  # not of full rank, which the Smith form reports
+    low = [min(e) for e in entries]
+    pivots = [gcd(*e) for e in entries]
+    order = list(range(len(entries)))
+    for t in range(len(order)):
+        pick = min(range(t, len(order)), key=lambda p: low[order[p]])
+        order[t], order[pick] = order[pick], order[t]
+        if t and pivots[order[t]] % pivots[order[t - 1]]:
+            return None
+    kept = [c for c in order if pivots[c] != 1]
+    units = [tuple(1 if i == c else 0 for i in range(len(order))) for c in kept]
+    return tuple(pivots[c] for c in kept), units, units
+
+
 @dataclass(frozen=True)
 class QuotientData:
     """A canonical quotient together with integer lifts of its generators."""
@@ -507,6 +561,12 @@ class QuotientData:
 
     def lift_element(self, k: int) -> tuple[int, ...]:
         return self.projection.source.reduce(self.lifts[k])
+
+    def lift(self, y: Sequence[int]) -> tuple[int, ...]:
+        """Some element of the ambient module projecting to y: sum(y_k * lift_k)."""
+        amb = self.projection.source
+        return amb.reduce([sum(c * lift[i] for c, lift in zip(y, self.lifts))
+                           for i in range(amb.rank)])
 
 
 def quotient_by(ambient: FiniteModule, generators: Sequence[Sequence[int]]) -> QuotientData:
@@ -731,24 +791,21 @@ def direct_sum(summands: Sequence[FiniteModule]) -> DirectSum:
         raise InputError("direct_sum: ring mismatch")
     concat = [d for m in summands for d in m.invariant_factors]
     total = len(concat)
-    rels = [[concat[j] if i == j else 0 for i in range(total)] for j in range(total)]
-    factors, proj_rows, lift_cols = _quotient_structure(total, rels)
+    structure = _monomial_structure([[d] for d in concat])
+    if structure is None:
+        structure = _smith_structure(total, [[d if i == j else 0 for i in range(total)]
+                                             for j, d in enumerate(concat)])
+    factors, proj_rows, lift_cols = structure
     module = FiniteModule(ring, factors)
     injections = []
     projections = []
     off = 0
     for m in summands:
-        inj_cols = [
-            [proj_rows[k][off + q] for k in range(module.rank)]
-            for q in range(m.rank)
-        ]
-        injections.append(ModuleMorphism.from_columns(m, module, inj_cols))
-        proj_cols = [
-            [lift_cols[k][off + q] for q in range(m.rank)]
-            for k in range(module.rank)
-        ]
-        projections.append(ModuleMorphism.from_columns(module, m, proj_cols))
-        off += m.rank
+        end = off + m.rank
+        injections.append(ModuleMorphism(m, module, tuple(row[off:end] for row in proj_rows)))
+        projections.append(ModuleMorphism.from_columns(
+            module, m, [col[off:end] for col in lift_cols]))
+        off = end
     return DirectSum(module, tuple(injections), tuple(projections))
 
 
@@ -813,8 +870,9 @@ class Diagram:
             if i == j and f != ModuleMorphism.identity(self.objects[i]):
                 raise InputError(f"loop at {i} must be the identity")
         le = {(i, i) for i in self.objects} | {k for k in self.maps if k[0] != k[1]}
-        for (i, j) in sorted(le):
-            for (j2, k) in sorted(le):
+        pairs = sorted(le)
+        for (i, j) in pairs:
+            for (j2, k) in pairs:
                 if j == j2 and (i, k) not in le and i != k:
                     raise InputError(f"poset not transitively closed at ({i}, {j}, {k})")
                 if j == j2 and i != j and j != k and i != k:

@@ -130,7 +130,11 @@ def _int(text: Optional[str], what: str, lineno: int) -> int:
     and non-ASCII digits."""
     if text is None or not _DECIMAL.fullmatch(text):
         raise InputError(f"line {lineno}: malformed {what} {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's int/str conversion digit limit
+        raise InputError(f"line {lineno}: malformed {what}: {len(text)} digits is past "
+                         "the integer conversion limit") from None
 
 
 def _ints(text: str, what: str, lineno: int) -> list[int]:

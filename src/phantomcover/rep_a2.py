@@ -13,6 +13,7 @@ from .finmod import (
     Diagram,
     FiniteModule,
     ModuleMorphism,
+    QuotientData,
     Ring,
     Submodule,
     compose,
@@ -151,14 +152,24 @@ def restrict_rep(sub: SubRep) -> tuple[RepA2, RepMorphism]:
 
 def quotient_rep(sub: SubRep) -> tuple[RepA2, RepMorphism]:
     """Componentwise quotient with the induced map and projection square."""
+    rep, square, _, _ = _quotient_rep_data(sub)
+    return rep, square
+
+
+def _quotient_rep_data(sub: SubRep) -> tuple[RepA2, RepMorphism, QuotientData, QuotientData]:
+    """`quotient_rep` with the two component quotients it is built from.
+
+    The induced map sends canonical generator k of M1/S1 to the image of
+    its lift under the projection after f, one composite for all k: the
+    projection kills f(S1), so any lift gives the same column."""
     amb = sub.ambient
     q1 = quotient_by(amb.m1, sub.s1.generators)
     q2 = quotient_by(amb.m2, sub.s2.generators)
-    cols = [q2.projection.apply(amb.f.apply(q1.lift_element(k)))
-            for k in range(q1.module.rank)]
+    pf = compose(q2.projection, amb.f)
+    cols = [pf.apply(lift) for lift in q1.lifts]
     induced = ModuleMorphism.from_columns(q1.module, q2.module, cols)
     rep = RepA2(q1.module, q2.module, induced)
-    return rep, RepMorphism(amb, rep, q1.projection, q2.projection)
+    return rep, RepMorphism(amb, rep, q1.projection, q2.projection), q1, q2
 
 
 @dataclass

@@ -10,6 +10,7 @@ from conftest import (
     pure_monos_from,
     rings,
 )
+from phantomcover import approx
 from phantomcover.approx import (
     extract_retract,
     is_cover,
@@ -312,6 +313,39 @@ def test_pushout_transport_rejects_bad_inputs():
     impure = morph(k, m, [[2]])  # image {0,2} is not pure in Z/4
     with pytest.raises(InputError):
         pushout_transport(phi, impure)
+
+
+@pytest.mark.parametrize("chase", [pushout_transport, extract_retract])
+def test_chase_input_errors(chase):
+    phi = phantom_cover(mod(Z4, 2))
+    k, _ = kernel(phi)  # Z/2
+    four = mod(Z4, 4)
+    cases = [
+        (morph(four, four, [[2]]), ModuleMorphism.identity(mod(Z4, 2)),
+         "surjective morphism"),
+        (ModuleMorphism.identity(mod(Z4, 2)), ModuleMorphism.identity(mod(Z4)),
+         "phantom morphism"),
+        (phi, ModuleMorphism.identity(four), "canonical kernel presentation"),
+        (phi, ModuleMorphism.zero_map(k, four), "v must be injective"),
+        (phi, morph(k, four, [[2]]), "v must have pure image"),
+    ]
+    for f, v, message in cases:
+        with pytest.raises(InputError, match=message):
+            chase(f, v)
+
+
+@pytest.mark.parametrize("chase", [pushout_transport, extract_retract])
+def test_chase_reads_one_kernel_and_one_image(monkeypatch, chase):
+    phi = phantom_cover(mod(Z4, 2))
+    k, _ = kernel(phi)
+    v = direct_sum((k, mod(Z4, 4))).injections[0]
+    calls = []
+    for name in ("kernel", "image_submodule"):
+        real = getattr(approx, name)
+        monkeypatch.setattr(approx, name, lambda f, real=real, name=name: (
+            calls.append(name), real(f))[1])
+    chase(phi, v)
+    assert sorted(calls) == ["image_submodule", "kernel"]
 
 
 @settings(max_examples=25, deadline=None)

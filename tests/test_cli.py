@@ -430,7 +430,9 @@ def test_non_integer_version_is_an_input_error(demo, capsys):
     (2, "+8"),
     (2, "\u0668"),  # ARABIC-INDIC DIGIT EIGHT
     (2, "\uff18"),  # FULLWIDTH DIGIT EIGHT
-], ids=["underscore", "plus", "arabic-indic", "fullwidth"])
+    (4, "9" * 5000),  # past int()'s default 4300-digit limit
+    (2, "9" * 5000),
+], ids=["underscore", "plus", "arabic-indic", "fullwidth", "long-rows", "long-ring"])
 def test_non_ascii_decimal_number_is_an_input_error(tmp_path, capsys, line, value):
     path = tmp_path / "mod.txt"
     records = ["[manifest] version=1", "[ring] n=8", "[module M] factors=8",

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 from conftest import elements, modules, modules_with_submodule, morphisms, rings, submodules
 from phantomcover import finmod
 from phantomcover.errors import IllDefinedMorphismError, InputError, InternalConsistencyError
-from phantomcover.exact_linalg import IntMatrix, solution_space_mod, solve_mod
+from phantomcover.exact_linalg import (
+    IntMatrix,
+    smith_normal_form,
+    solution_space_mod,
+    solve_mod,
+)
 from phantomcover.finmod import (
     Diagram,
     FiniteModule,
@@ -438,6 +443,21 @@ def test_colimit_chain_with_top():
     assert is_automorphism(col.structural["n1"])
 
 
+def test_diagram_validation_reports_the_first_defect_in_sorted_order():
+    m = mod(Z4, 4)
+    one = ModuleMorphism.identity(m)
+    two = morph(m, m, [[2]])
+    unclosed = Diagram({"a": m, "b": m, "c": m, "d": m},
+                       {("a", "b"): one, ("b", "d"): one, ("b", "c"): one})
+    with pytest.raises(InputError, match=r"not transitively closed at \(a, b, c\)"):
+        unclosed.validate()
+    nonfunctorial = Diagram({"a": m, "b": m, "c": m, "d": m}, {
+        ("a", "b"): one, ("a", "c"): one, ("a", "d"): one,
+        ("b", "c"): two, ("b", "d"): two})
+    with pytest.raises(InputError, match=r"non-functorial diagram at \(a, b, c\)"):
+        nonfunctorial.validate()
+
+
 def test_colimit_rejects_nonfunctorial():
     m = mod(Z4, 4)
     f = morph(m, m, [[2]])
@@ -866,3 +886,118 @@ def test_image_and_kernel_submodules():
     img = image_submodule(double)
     ker = kernel_submodule(double)
     assert same_subgroup(img, ker)  # both are {0, 2}
+
+
+# --- canonical quotients without a Smith form ---------------------------------
+
+def _smith_reference(ncoords, relations):
+    """(factors, proj_rows, lift_cols) read straight off the Smith form of
+    the relation matrix: the diagonal entries other than 1, the matching
+    rows of U mod their factor and the matching columns of U^-1."""
+    w = IntMatrix.from_rows([[rel[i] for rel in relations] for i in range(ncoords)],
+                            cols=len(relations))
+    s = smith_normal_form(w)
+    diag = s.diagonal()
+    kept = [i for i in range(ncoords) if diag[i] != 1]
+    return (tuple(diag[i] for i in kept),
+            [tuple(x % diag[i] for x in s.u.row(i)) for i in kept],
+            [s.u_inv.column(i) for i in kept])
+
+
+def _no_smith_form(*args, **kwargs):
+    raise AssertionError("the closed form ran the Smith form")
+
+
+MONOMIAL_MODULI = (6, 12, 36)
+
+
+@st.composite
+def monomial_lattices(draw, n):
+    """Relations of a full-rank monomial lattice in Z^t: each coordinate
+    gets a divisor of n, some get repeated, unreduced (plus a multiple of
+    n) or further entries, and zero relations and the order are drawn."""
+    divs = Ring(n).divisors()
+    t = draw(st.integers(0, 5))
+    rels = []
+    for i in range(t):
+        entries = [draw(st.sampled_from(divs))]
+        entries += draw(st.lists(st.sampled_from(divs), max_size=2))
+        entries += [e + n * draw(st.integers(1, 2)) for e in
+                    draw(st.lists(st.sampled_from(entries), max_size=1))]
+        entries += draw(st.lists(st.sampled_from(entries), max_size=1))
+        rels += [[e if k == i else 0 for k in range(t)] for e in entries]
+    rels += [[0] * t] * draw(st.integers(0, 2))
+    return t, draw(st.permutations(rels))
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_monomial_quotient_structure_matches_the_smith_form(data):
+    n = data.draw(st.sampled_from(MONOMIAL_MODULI))
+    t, rels = data.draw(monomial_lattices(n))
+    structure = finmod._quotient_structure(t, rels)
+    assert structure == _smith_reference(t, rels)
+    assert list(structure[0]) == sorted(structure[0])
+    closed = finmod._monomial_structure(
+        [[rel[i] for rel in rels if rel[i]] for i in range(t)])
+    assert closed is None or closed == structure
+
+
+@pytest.mark.parametrize("diagonal", [
+    (2, 3), (3, 2), (3, 3, 2),           # n = 6
+    (4, 6), (4, 3, 2), (2, 12, 3),       # n = 12
+    (4, 9), (12, 18), (9, 4, 36),        # n = 36
+])
+def test_monomial_lattices_off_a_chain_fall_back_to_the_smith_form(diagonal):
+    t = len(diagonal)
+    rels = [[d if k == i else 0 for k in range(t)] for i, d in enumerate(diagonal)]
+    assert finmod._monomial_structure([[d] for d in diagonal]) is None
+    assert finmod._quotient_structure(t, rels) == _smith_reference(t, rels)
+
+
+@pytest.mark.parametrize("t, rels, factors, order", [
+    # ties go to the first coordinate, and each swap reorders the rest
+    (3, [[0, 0, 2], [0, 4, 0], [4, 0, 0]], (2, 4, 4), (2, 1, 0)),
+    (3, [[4, 0, 0], [0, 4, 0], [0, 0, 2]], (2, 4, 4), (2, 1, 0)),
+    # the pivot is the gcd of a coordinate's entries, below its least one
+    (3, [[6, 0, 0], [4, 0, 0], [0, 8, 0], [0, 0, 1]], (2, 8), (0, 1)),
+    # repeated, unreduced and zero relations
+    (2, [[0, 36], [0, 0], [24, 0], [0, 12], [72, 0], [0, 12]], (12, 24), (1, 0)),
+])
+def test_monomial_quotient_structure_examples(monkeypatch, t, rels, factors, order):
+    assert finmod._quotient_structure(t, rels) == _smith_reference(t, rels)
+    monkeypatch.setattr(finmod, "smith_normal_form", _no_smith_form)
+    units = [tuple(1 if i == c else 0 for i in range(t)) for c in order]
+    assert finmod._quotient_structure(t, rels) == (factors, units, units)
+
+
+@pytest.mark.parametrize("t, rels", [
+    (2, [[-2, 0], [0, 4]]),                # a negative entry
+    (2, [[2, 2], [0, 4], [4, 0]]),         # a relation on two coordinates
+    (2, [[0, 36], [9, 0], [0, 0], [0, 8]]),  # gcds 9 and 4 are not a chain
+])
+def test_quotient_structure_off_the_closed_form_is_the_smith_form(t, rels):
+    assert finmod._quotient_structure(t, rels) == _smith_reference(t, rels)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_direct_sum_matches_the_smith_form(data):
+    ring = data.draw(rings(MONOMIAL_MODULI))
+    summands = data.draw(st.lists(modules(ring, max_card=216, max_rank=3),
+                                  min_size=1, max_size=3))
+    concat = [d for m in summands for d in m.invariant_factors]
+    t = len(concat)
+    factors, proj_rows, lift_cols = _smith_reference(
+        t, [[d if k == i else 0 for k in range(t)] for i, d in enumerate(concat)])
+    ds = direct_sum(summands)
+    assert ds.module == FiniteModule(ring, factors)
+    off = 0
+    for m, inj, proj in zip(summands, ds.injections, ds.projections):
+        assert inj == ModuleMorphism.from_columns(
+            m, ds.module, [[row[off + q] for row in proj_rows] for q in range(m.rank)])
+        assert proj == ModuleMorphism.from_columns(
+            ds.module, m, [col[off:off + m.rank] for col in lift_cols])
+        off += m.rank

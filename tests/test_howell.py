@@ -1,14 +1,14 @@
 """Cross-checks of the Howell-form subgroup routes against the enumeration
 oracles: membership, cardinality, subgroup equality, the filtration's lowest
-fresh element, the purification witness with its lowest preimage, and the
-lowest solutions of the element and left-factor solvers."""
+fresh element and lowest preimages, the purification witness with its lowest
+preimage, and the lowest solutions of the element and left-factor solvers."""
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import elements, modules, morphisms, rings, submodules
 from phantomcover.exact_linalg import howell_form
-from phantomcover.filtration import _fresh_element
+from phantomcover.filtration import _fresh_element, _lowest_preimage
 from phantomcover.finmod import (
     FiniteModule,
     ModuleMorphism,
@@ -19,6 +19,7 @@ from phantomcover.finmod import (
     compose,
     element_preimage,
     pure_closure_counted,
+    quotient_by,
     same_subgroup,
     solve_left_factor,
 )
@@ -229,3 +230,20 @@ def test_lowest_lift_is_killed_by_the_column_order():
     g = ModuleMorphism(FiniteModule(ring, (4,)), two, ((1,),))
     assert element_preimage(g, (1,)) == (1,)
     assert solve_left_factor(g, ModuleMorphism.identity(two)) is None
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_coset_minimum_preimages_match_the_element_solver(data):
+    # the filtration pulls quotient generators back by the lowest element
+    # of a lift's coset; it is the lowest preimage element_preimage solves for
+    ring = data.draw(rings(moduli=MODULI))
+    m = data.draw(modules(ring, max_card=64))
+    sub = data.draw(submodules(m, max_gens=3))
+    x = data.draw(elements(m))
+    assert sub.coset_minimum(x) == min(m.add(x, s) for s in subgroup_elements(sub))
+    qd = quotient_by(m, sub.generators)
+    for y in qd.module.elements():
+        assert qd.projection.apply(qd.lift(y)) == y
+        assert _lowest_preimage(qd, sub, y) == element_preimage(qd.projection, y)

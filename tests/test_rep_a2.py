@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import morphisms, phantom_morphisms, rings
+from conftest import elements, modules, morphisms, phantom_morphisms, rings
 from phantomcover.errors import InputError
 from phantomcover.finmod import (
     FiniteModule,
@@ -12,6 +12,7 @@ from phantomcover.finmod import (
     compose,
     is_automorphism,
     pure_closure,
+    quotient_by,
 )
 from phantomcover.ideals import MorphismIdeal, is_phantom
 from phantomcover.rep_a2 import (
@@ -216,3 +217,23 @@ def test_quotient_by_pure_subrep_of_phantom_is_phantom(data):
     assume(is_pure_subrep(sub))
     q, _ = quotient_rep(sub)
     assert is_phantom(q.f)
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_quotient_rep_induced_map_matches_the_per_generator_route(data):
+    # one composite projection o f, applied to the lifts, gives the columns
+    # that applying f and then the projection to each lift gives
+    ring = data.draw(rings())
+    m1, m2 = (data.draw(modules(ring, max_card=64, max_rank=3)) for _ in range(2))
+    f = data.draw(morphisms(m1, m2))
+    gens1 = data.draw(st.lists(elements(m1), max_size=2))
+    gens2 = data.draw(st.lists(elements(m2), max_size=2)) + [f.apply(g) for g in gens1]
+    sub = SubRep(RepA2(m1, m2, f), Submodule(m1, tuple(gens1)), Submodule(m2, tuple(gens2)))
+    q, square = quotient_rep(sub)
+    q1, q2 = quotient_by(m1, gens1), quotient_by(m2, gens2)
+    assert (q.m1, q.m2) == (q1.module, q2.module)
+    assert (square.d, square.s) == (q1.projection, q2.projection)
+    assert q.f == ModuleMorphism.from_columns(q1.module, q2.module, [
+        q2.projection.apply(f.apply(q1.lift_element(k))) for k in range(q1.module.rank)])
