@@ -15,15 +15,15 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
 from .finmod import QuotientData, Submodule, impurity, pure_closure_counted
-from .ideals import MorphismIdeal, is_phantom
+from .ideals import MorphismIdeal
 from .rep_a2 import (
     RepA2,
     SubRep,
     _quotient_rep_data,
     in_ideal_class,
     is_pure_subrep,
-    quotient_rep,
-    restrict_rep,
+    slice_is_phantom,
+    slice_phantom_witness,
 )
 
 
@@ -95,8 +95,7 @@ def phantom_pure_subrep(rep: RepA2, x1_seeds: Sequence[Sequence[int]],
     if not in_ideal_class(MorphismIdeal.phantom(rep.ring), rep):
         raise InputError("phantom_pure_subrep needs a phantom representation")
     res = pure_subrep_containing(rep, x1_seeds, x2_seeds, cfg)
-    inner, _ = restrict_rep(res.subrep)
-    if not is_phantom(inner.f):
+    if not slice_is_phantom(SubRep.zero(rep), res.subrep):
         raise InternalConsistencyError("purified subrepresentation is not phantom")
     return res
 
@@ -216,16 +215,6 @@ class FiltrationReport:
                 for name, c in self.conditions.items()]
 
 
-def _step_quotient_rep(filtration: Filtration, i: int) -> RepA2:
-    """The representation S_(i+1)/S_i, formed inside target/S_i."""
-    quot, proj = quotient_rep(filtration.steps[i])
-    nxt = filtration.steps[i + 1]
-    s1 = Submodule(quot.m1, tuple(proj.d.apply(g) for g in nxt.s1.generators))
-    s2 = Submodule(quot.m2, tuple(proj.s.apply(g) for g in nxt.s2.generators))
-    inner, _ = restrict_rep(SubRep(quot, s1, s2))
-    return inner
-
-
 def _is_budget(bound: int, kappa: int, n: int) -> bool:
     """Whether bound == kappa * n^e for an integer e >= 0."""
     if kappa < 1 or bound < kappa or bound % kappa:
@@ -255,10 +244,13 @@ def verify_filtration(filtration: Filtration,
     every step, chain containment with the union reaching the target, phantom
     quotient steps, the surfaced size bounds, and strict growth below the top.
 
-    Each step quotient is computed once, and only when the chain is
-    contained; the phantom check and the size check both read it.  The size
-    check fails when a report records other quotient sizes, a bound below
-    them, or (given the config) a bound that is not kappa * n^e.
+    Each slice S_(i+1)/S_i is decided once, and only when the chain is
+    contained: its sizes are quotients of the steps' Howell cardinalities,
+    and the phantom check and the size check both read it.  A non-phantom
+    slice names the order d and the element g of S_(i+1) whose image lies
+    outside (n/d) * T_(i+1) + T_i.  The size check fails when a report
+    records other quotient sizes, a bound below them, or (given the config)
+    a bound that is not kappa * n^e.
     """
     steps = filtration.steps
     conditions: dict[str, ConditionReport] = {}
@@ -278,20 +270,25 @@ def verify_filtration(filtration: Filtration,
         "chain containment fails" if not chain_ok else "union is not the target")
     conditions["continuity"] = ConditionReport(chain_ok and union_ok, detail)
 
-    quotients = ([_step_quotient_rep(filtration, i) for i in range(len(steps) - 1)]
-                 if chain_ok else [])
+    slices = [(up.s1.cardinality // low.s1.cardinality,
+               up.s2.cardinality // low.s2.cardinality,
+               slice_phantom_witness(low, up))
+              for low, up in zip(steps, steps[1:])] if chain_ok else []
     phantom_fail = next(
-        (i for i, q in enumerate(quotients) if not is_phantom(q.f)), None)
+        (i for i, (_, _, w) in enumerate(slices) if w is not None), None)
+    phantom_detail = ""
+    if phantom_fail is not None:
+        d, g = slices[phantom_fail][2]
+        phantom_detail = (f"non-phantom quotient at step {phantom_fail}: "
+                          f"d={d}, element ({','.join(map(str, g))})")
     conditions["quotient_phantom"] = ConditionReport(
-        chain_ok and phantom_fail is None,
-        "" if phantom_fail is None else f"non-phantom quotient at step {phantom_fail}")
+        chain_ok and phantom_fail is None, phantom_detail)
 
     sizes_ok = True
     size_detail = []
     if chain_ok:
         n = filtration.target.ring.modulus
-        for i, q in enumerate(quotients):
-            c1, c2 = q.m1.cardinality, q.m2.cardinality
+        for i, (c1, c2, _) in enumerate(slices):
             report = filtration.reports[i] if i < len(filtration.reports) else None
             if report is not None:
                 b1, b2 = report.bound_m1, report.bound_m2

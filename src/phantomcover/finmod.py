@@ -586,45 +586,57 @@ def cokernel(f: ModuleMorphism) -> tuple[FiniteModule, ModuleMorphism]:
     return qd.module, qd.projection
 
 
+def slice_generators(lower: Submodule, upper: Submodule) -> list[tuple[int, tuple[int, ...]]]:
+    """Pairs (d_q, g_q), g_q in upper, such that upper / lower, for lower
+    contained in upper, is the direct sum of the Z/d_q that the classes of
+    the g_q generate, read off the reduced Howell rows h_1..h_r of upper,
+    with leading entries p_i, so they depend on the two subgroups alone.
+
+    By the Howell property (n/p_i) * h_i, which vanishes through its leading
+    column, is sum(c_k * h_k) over the later rows; the relations
+    (n/p_i) * e_i - sum(c_k * e_k) form an upper-triangular lattice of
+    determinant prod(n/p_i) = |upper|, so they present upper.  Each
+    generator of lower adds its coordinates, the quotients met while
+    reducing it against the rows (InternalConsistencyError when it does not
+    reduce to zero).  One canonical form of the lattice gives the d_q and
+    lifts c_q, and g_q = sum(c_q[k] * h_k).
+    """
+    amb = upper.ambient
+    if lower.ambient != amb:
+        raise InputError("slice_generators: ambient modules differ")
+    hs = upper.howell
+    n = amb.ring.modulus
+    scales = [n // row[j] for row, j in zip(hs.rows, hs.pivots)]
+    rels = []
+    for i, vec in enumerate(chain(([s * v for v in row] for s, row in zip(scales, hs.rows)),
+                                  (_scaled(amb, g) for g in lower.generators))):
+        x = [v % n for v in vec]
+        rel = []
+        for row, j in zip(hs.rows, hs.pivots):
+            q = x[j] // row[j]
+            rel.append(q)
+            if q:
+                x = [(a - q * b) % n for a, b in zip(x, row)]
+        if any(x):
+            raise InternalConsistencyError("vector outside the span of its Howell rows")
+        if i < len(scales):
+            rel = [-q for q in rel]
+            rel[i] = scales[i]
+        rels.append(rel)
+    factors, _, lift_cols = _quotient_structure(len(scales), rels)
+    if prod(factors) * lower.cardinality != upper.cardinality:
+        raise InternalConsistencyError("slice presentation has wrong cardinality")
+    return [(d, _unscaled(amb, [sum(map(mul, col, h)) % n for h in zip(*hs.rows)]))
+            for d, col in zip(factors, lift_cols)]
+
+
 @lru_cache(maxsize=None)
 def subgroup_presentation(sub: Submodule) -> tuple[FiniteModule, ModuleMorphism]:
-    """Canonical form of a generated subgroup with an injective embedding,
-    read off its reduced Howell basis, so it depends on the subgroup alone.
-
-    The Howell rows h_1..h_r, with leading entries p_i, generate S.  By the
-    Howell property (n/p_i) * h_i, which vanishes through its leading
-    column, is sum(c_k * h_k) over the later rows; these r relations form
-    an upper-triangular lattice of determinant prod(n/p_i) = |S|, so they
-    present S, and one Smith form puts Z^r / relations in canonical form.
-    """
-    amb = sub.ambient
-    hs = sub.howell
-    n = amb.ring.modulus
-    r = len(hs.rows)
-    rels = []
-    for i, (row, j) in enumerate(zip(hs.rows, hs.pivots)):
-        scale = n // row[j]
-        rel = [0] * r
-        rel[i] = scale
-        x = [scale * v % n for v in row]
-        for k in range(i + 1, r):
-            later, jk = hs.rows[k], hs.pivots[k]
-            q = x[jk] // later[jk]
-            if q:
-                rel[k] = -q
-                x = [(a - q * b) % n for a, b in zip(x, later)]
-        if any(x):
-            raise InternalConsistencyError("Howell row relation does not reduce to zero")
-        rels.append(rel)
-    factors, _, lift_cols = _quotient_structure(r, rels)
-    module = FiniteModule(amb.ring, factors)
-    # column k is sum_i lift_cols[k][i] * h_i, back in ambient coordinates
-    gens = [_unscaled(amb, row) for row in hs.rows]
-    emb_cols = [amb.reduce([sum(map(mul, col, g)) for g in zip(*gens)])
-                for col in lift_cols]
-    if module.cardinality != sub.cardinality:
-        raise InternalConsistencyError("subgroup presentation has wrong cardinality")
-    return module, ModuleMorphism.from_columns(module, amb, emb_cols)
+    """Canonical form of a generated subgroup with an injective embedding:
+    its `slice_generators` over zero, so it depends on the subgroup alone."""
+    pairs = slice_generators(Submodule.zero(sub.ambient), sub)
+    module = FiniteModule(sub.ambient.ring, tuple(d for d, _ in pairs))
+    return module, ModuleMorphism.from_columns(module, sub.ambient, [g for _, g in pairs])
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,10 @@ the split extension showing ideal classes are not closed under extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import InputError, InternalConsistencyError
+from .exact_linalg import howell_form
 from .finmod import (
     Diagram,
     FiniteModule,
@@ -16,11 +18,13 @@ from .finmod import (
     QuotientData,
     Ring,
     Submodule,
+    _scaled,
     compose,
     direct_sum,
     directed_colimit,
     is_pure_submodule,
     quotient_by,
+    slice_generators,
     solve_left_factor,
     subgroup_presentation,
 )
@@ -148,6 +152,35 @@ def restrict_rep(sub: SubRep) -> tuple[RepA2, RepMorphism]:
         raise InternalConsistencyError("restriction escaped the second component")
     rep = RepA2(k1, k2, restricted)
     return rep, RepMorphism(rep, sub.ambient, e1, e2)
+
+
+def slice_phantom_witness(lower: SubRep,
+                          upper: SubRep) -> Optional[tuple[int, tuple[int, ...]]]:
+    """Why the slice upper / lower is not phantom: the first (d, g) of
+    `slice_generators(S, S')` with f(g) outside (n/d) * T' + T, for S, T the
+    components of lower and S', T' those of upper; None when it is phantom.
+    `is_phantom`'s column test holds for any cyclic decomposition of S'/S,
+    and (n/d) * (T'/T) is ((n/d) * T' + T) / T: one Howell form per d."""
+    if lower.ambient != upper.ambient:
+        raise InputError("slice: subrepresentations of different representations")
+    rep = upper.ambient
+    n = rep.ring.modulus
+    top, bottom = upper.s2.howell, lower.s2.howell
+    if not all(top.contains(row) for row in bottom.rows):
+        raise InternalConsistencyError("slice: lower second component is not in the upper one")
+    forms = {}
+    for d, g in slice_generators(lower.s1, upper.s1):
+        if d not in forms:
+            forms[d] = howell_form([[n // d * x for x in row] for row in top.rows]
+                                   + list(bottom.rows), n, rep.m2.rank)
+        if not forms[d].contains(_scaled(rep.m2, rep.f.apply(g))):
+            return d, g
+    return None
+
+
+def slice_is_phantom(lower: SubRep, upper: SubRep) -> bool:
+    """Whether the slice upper / lower, lower <= upper, is phantom."""
+    return slice_phantom_witness(lower, upper) is None
 
 
 def quotient_rep(sub: SubRep) -> tuple[RepA2, RepMorphism]:

@@ -121,6 +121,37 @@ def test_verify_filtration_catches_corruption(demo, capsys, tmp_path):
     assert "FAIL purity" in out
 
 
+NON_PHANTOM_FILTRATION = """\
+[manifest] version=1
+[ring] n=8
+[module m] factors=2
+[morphism f] from=m to=m rows=1
+[rep r] f=f
+[filtration] target=r kappa=8
+[step 0] s1= s2=
+[step 1] s1=1 s2=1
+[stepreport 0] witnesses=0 q1=2 q2=2 b1=8 b2=8
+"""
+
+
+def test_verify_filtration_certifies_a_non_phantom_quotient(capsys, tmp_path):
+    # the identity of Z/2 over Z/8 is not phantom: the generator, of order
+    # 2, maps to 1, outside (8/2) * Z/2 = 0; only the FAIL line carries it
+    path = tmp_path / "identity.filt"
+    path.write_text(NON_PHANTOM_FILTRATION, encoding="utf-8")
+    code, out = run(["verify-filtration", "--input", str(path)], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "command=verify-filtration steps=2",
+        "ok zero_base",
+        "ok purity",
+        "ok continuity",
+        "FAIL quotient_phantom (non-phantom quotient at step 0: d=2, element (1))",
+        "ok size_bounds (step 0: |q1|=2 |q2|=2 bounds 8,8)",
+        "ok strict_growth",
+    ]
+
+
 def test_counterexample_ext_command(demo, capsys):
     code, out = run(["counterexample-ext", "--input", demo,
                      "--morphism", "ident2"], capsys)

@@ -167,13 +167,13 @@ def test_verify_filtration_names_the_impure_component():
 
 def _count_step_quotients(monkeypatch):
     calls = []
-    real = filtration._step_quotient_rep
+    real = filtration.slice_phantom_witness
 
-    def counting(filt, i):
-        calls.append(i)
-        return real(filt, i)
+    def counting(lower, upper):
+        calls.append((lower, upper))
+        return real(lower, upper)
 
-    monkeypatch.setattr(filtration, "_step_quotient_rep", counting)
+    monkeypatch.setattr(filtration, "slice_phantom_witness", counting)
     return calls
 
 
@@ -181,7 +181,7 @@ def test_verify_filtration_builds_each_step_quotient_once(monkeypatch):
     filt = build_filtration(doubling_rep(3), CFG)
     calls = _count_step_quotients(monkeypatch)
     assert verify_filtration(filt, CFG).ok
-    assert sorted(calls) == list(range(len(filt.steps) - 1))
+    assert calls == list(zip(filt.steps, filt.steps[1:]))
 
 
 def test_verify_filtration_builds_no_quotient_off_a_chain(monkeypatch):

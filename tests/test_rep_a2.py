@@ -1,18 +1,24 @@
+import random
+from math import gcd, prod
+
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import elements, modules, morphisms, phantom_morphisms, rings
-from phantomcover.errors import InputError
+from phantomcover.errors import InputError, InternalConsistencyError
 from phantomcover.finmod import (
     FiniteModule,
     ModuleMorphism,
     Ring,
     Submodule,
     compose,
+    direct_sum,
     is_automorphism,
     pure_closure,
     quotient_by,
+    same_subgroup,
+    slice_generators,
 )
 from phantomcover.ideals import MorphismIdeal, is_phantom
 from phantomcover.rep_a2 import (
@@ -28,6 +34,8 @@ from phantomcover.rep_a2 import (
     quotient_rep,
     rep_colimit,
     restrict_rep,
+    slice_is_phantom,
+    slice_phantom_witness,
 )
 
 Z4 = Ring(4)
@@ -237,3 +245,109 @@ def test_quotient_rep_induced_map_matches_the_per_generator_route(data):
     assert (square.d, square.s) == (q1.projection, q2.projection)
     assert q.f == ModuleMorphism.from_columns(q1.module, q2.module, [
         q2.projection.apply(f.apply(q1.lift_element(k))) for k in range(q1.module.rank)])
+
+
+SLICE_MODULI = (2, 4, 6, 8, 9, 12, 16, 18, 24, 27, 36, 72)
+
+
+def _random_module(rng, ring):
+    divs = ring.divisors()[1:]
+    return direct_sum([FiniteModule.cyclic(ring, rng.choice(divs))
+                       for _ in range(rng.randint(1, 3))]).module
+
+
+def _random_element(rng, m):
+    return tuple(rng.randrange(d) for d in m.invariant_factors)
+
+
+def _random_slice(rng):
+    """A representation over a modulus up to 72, often not phantom, with
+    subrepresentations lower <= upper whose components are rarely pure;
+    lower is zero or equal to upper now and then."""
+    ring = Ring(rng.choice(SLICE_MODULI))
+    m1, m2 = _random_module(rng, ring), _random_module(rng, ring)
+    f = ModuleMorphism(m1, m2, tuple(
+        tuple(ei // gcd(ei, dj) * rng.randrange(gcd(ei, dj)) for dj in m1.invariant_factors)
+        for ei in m2.invariant_factors))
+    rep = RepA2(m1, m2, f)
+    kind = rng.randrange(4)
+    s = [] if kind == 0 else [_random_element(rng, m1) for _ in range(rng.randint(0, 2))]
+    t = [] if kind == 0 else [_random_element(rng, m2) for _ in range(rng.randint(0, 2))]
+    t += [f.apply(g) for g in s]
+    s_up = s + ([] if kind == 1 else [_random_element(rng, m1) for _ in range(rng.randint(1, 2))])
+    t_up = t + [f.apply(g) for g in s_up] + (
+        [] if kind == 1 else [_random_element(rng, m2) for _ in range(rng.randint(0, 1))])
+    lower = SubRep(rep, Submodule(m1, tuple(s)), Submodule(m2, tuple(t)))
+    upper = SubRep(rep, Submodule(m1, tuple(s_up)), Submodule(m2, tuple(t_up)))
+    return rep, lower, upper
+
+
+def test_slice_matches_quotient_then_restriction():
+    # the verdict and both sizes agree with forming upper / lower inside
+    # rep / lower, presenting it, and testing its map column by column
+    rng = random.Random(20261019)
+    seen = {"non_phantom": 0, "impure": 0, "zero": 0, "equal": 0}
+    for _ in range(1000):
+        rep, lower, upper = _random_slice(rng)
+        quot, proj = quotient_rep(lower)
+        inner, _ = restrict_rep(SubRep(
+            quot,
+            Submodule(quot.m1, tuple(proj.d.apply(g) for g in upper.s1.generators)),
+            Submodule(quot.m2, tuple(proj.s.apply(g) for g in upper.s2.generators))))
+        verdict = slice_is_phantom(lower, upper)
+        assert verdict == is_phantom(inner.f)
+        assert upper.s1.cardinality // lower.s1.cardinality == inner.m1.cardinality
+        assert upper.s2.cardinality // lower.s2.cardinality == inner.m2.cardinality
+        seen["non_phantom"] += not verdict
+        seen["impure"] += not (is_pure_subrep(lower) and is_pure_subrep(upper))
+        seen["zero"] += lower.cardinality == 2
+        seen["equal"] += lower.contains(upper)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_slice_generators_decompose_the_quotient():
+    # the classes of g_q have orders dividing d_q, generate upper / lower,
+    # and the d_q multiply to its size, so upper / lower is their direct sum
+    rng = random.Random(7)
+    for _ in range(300):
+        rep, lower, upper = _random_slice(rng)
+        s, s_up = lower.s1, upper.s1
+        pairs = slice_generators(s, s_up)
+        assert all(d > 1 and rep.ring.modulus % d == 0 for d, _ in pairs)
+        assert all(s_up.contains(g) and s.contains(rep.m1.smul(d, g)) for d, g in pairs)
+        assert same_subgroup(s.join(g for _, g in pairs), s_up)
+        assert prod(d for d, _ in pairs) * s.cardinality == s_up.cardinality
+
+
+def test_slice_witness_is_a_certificate():
+    # the witness (d, g): g lies in S', d * g in S, and f(g) lies outside
+    # (n/d) * T' + T, each re-checked through submodule membership
+    rng = random.Random(11)
+    found = 0
+    for _ in range(300):
+        rep, lower, upper = _random_slice(rng)
+        witness = slice_phantom_witness(lower, upper)
+        if witness is None:
+            continue
+        found += 1
+        d, g = witness
+        n = rep.ring.modulus
+        assert upper.s1.contains(g) and lower.s1.contains(rep.m1.smul(d, g))
+        target = Submodule(rep.m2, tuple(rep.m2.smul(n // d, t) for t in upper.s2.generators)
+                           + lower.s2.generators)
+        assert not target.contains(rep.f.apply(g))
+    assert found >= 30
+
+
+def test_slice_outside_upper_raises():
+    m = mod(Z4, 4)
+    rep = RepA2(m, m, morph(m, m, [[2]]))
+    full, zero = SubRep.full(rep), SubRep.zero(rep)
+    with pytest.raises(InternalConsistencyError):
+        slice_is_phantom(full, zero)
+    with pytest.raises(InternalConsistencyError):
+        slice_generators(full.s1, zero.s1)
+    # first components nested, second ones not
+    s2_only = SubRep(rep, Submodule.zero(m), Submodule.full(m))
+    with pytest.raises(InternalConsistencyError):
+        slice_is_phantom(s2_only, SubRep(rep, Submodule.zero(m), Submodule(m, ((2,),))))
