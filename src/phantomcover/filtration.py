@@ -2,6 +2,10 @@
 with size accounting, extraction of pure phantom subrepresentations, and the
 chain builder realizing deconstructibility at finite scale.
 
+The builder adjoins each fresh element in the ambient representation and
+keeps the result when it is already pure; only a step that needs
+purification witnesses is built in the quotient by the current step.
+
 Size budgets: a purification step is allowed kappa * n^w where w counts the
 growth events actually performed (generators adjoined beyond the first and
 purification witnesses).  Reports surface the true bound; no step ever
@@ -148,13 +152,60 @@ def _lowest_preimage(qd: QuotientData, sub: Submodule, y) -> tuple[int, ...]:
     return x
 
 
+def _quotient_step(cur: SubRep, component: int, x,
+                   cfg: FiltrationConfig) -> tuple[SubRep, StepReport]:
+    """The step after cur around the fresh element x of the given component,
+    built in the quotient: extract a pure phantom subrepresentation of
+    rep / cur around the image of x and pull its generators back to their
+    lowest preimages.  The only route that adjoins purification witnesses,
+    each the lowest in the quotient's canonical coordinates."""
+    rep = cur.ambient
+    quot, proj, q1, q2 = _quotient_rep_data(cur)
+    if component == 1:
+        seeds1, seeds2 = [proj.d.apply(x)], []
+    else:
+        seeds1, seeds2 = [], [proj.s.apply(x)]
+    res = phantom_pure_subrep(quot, seeds1, seeds2, cfg)
+    gens1 = cur.s1.generators + tuple(
+        _lowest_preimage(q1, cur.s1, g) for g in res.subrep.s1.generators)
+    gens2 = cur.s2.generators + tuple(
+        _lowest_preimage(q2, cur.s2, g) for g in res.subrep.s2.generators)
+    nxt = SubRep(rep, Submodule(rep.m1, gens1), Submodule(rep.m2, gens2))
+    if not is_pure_subrep(nxt):
+        raise InternalConsistencyError("pulled-back step lost purity")
+    return nxt, StepReport(res.witnesses, res.subrep.s1.cardinality,
+                           res.subrep.s2.cardinality, res.bound_m1, res.bound_m2)
+
+
+def _ambient_candidate(cur: SubRep, component: int, x) -> SubRep:
+    """cur with the fresh element x adjoined and closed under f, each new
+    generator the lowest of its coset modulo cur: what the quotient step
+    pulls back when it adjoins no witness.  x is already its coset's
+    minimum, since every element below it lies in cur."""
+    rep = cur.ambient
+    gens1, gens2 = cur.s1.generators, cur.s2.generators
+    if component == 1:
+        gens1 += (x,)
+        gens2 += (cur.s2.coset_minimum(rep.f.apply(x)),)
+    else:
+        gens2 += (x,)
+    return SubRep(rep, Submodule(rep.m1, gens1), Submodule(rep.m2, gens2))
+
+
 def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
     """Chain 0 = S_0 < S_1 < ... < S_len = rep of pure subrepresentations
     with phantom quotient steps of bounded size.
 
-    Each successor step picks the lowest fresh element, extracts a pure
-    phantom subrepresentation of the quotient around it, and pulls the
-    result back along the projection.
+    A step whose quotient fits the budget in both components, read off the
+    Howell cardinalities, goes straight to the whole representation.  Any
+    other step takes the lowest fresh element x and first adjoins it in the
+    ambient, with f of it, as coset minima modulo the current step.  For S
+    pure in M and S <= P, P is pure in M exactly when P/S is pure in M/S
+    (Fuchs, *Infinite Abelian Groups I*, Lemma 26.1), so when that
+    candidate is pure the quotient route would adjoin no witness and pull
+    back the same generators; its slice is cyclic, of order at most
+    n <= kappa, and is re-checked phantom.  Only an impure candidate takes
+    the quotient route, `_quotient_step`.
     """
     cfg.check(rep)
     if not in_ideal_class(MorphismIdeal.phantom(rep.ring), rep):
@@ -163,35 +214,27 @@ def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
     reports: list[StepReport] = []
     while not steps[-1].is_full:
         cur = steps[-1]
-        quot, proj, q1, q2 = _quotient_rep_data(cur)
-        if (quot.m1.cardinality <= cfg.kappa
-                and quot.m2.cardinality <= cfg.kappa):
+        c1 = rep.m1.cardinality // cur.s1.cardinality
+        c2 = rep.m2.cardinality // cur.s2.cardinality
+        if c1 <= cfg.kappa and c2 <= cfg.kappa:
             steps.append(SubRep.full(rep))
-            reports.append(StepReport(0, quot.m1.cardinality,
-                                      quot.m2.cardinality, cfg.kappa, cfg.kappa))
+            reports.append(StepReport(0, c1, c2, cfg.kappa, cfg.kappa))
             continue
         fresh = _fresh_element(rep, cur)
         if fresh is None:
             raise InternalConsistencyError("no fresh element in a proper step")
         component, x = fresh
-        if component == 1:
-            seeds1, seeds2 = [proj.d.apply(x)], []
+        nxt = _ambient_candidate(cur, component, x)
+        if is_pure_subrep(nxt):
+            if not slice_is_phantom(cur, nxt):
+                raise InternalConsistencyError("purified subrepresentation is not phantom")
+            report = StepReport(
+                0, nxt.s1.cardinality // cur.s1.cardinality,
+                nxt.s2.cardinality // cur.s2.cardinality, cfg.kappa, cfg.kappa)
         else:
-            seeds1, seeds2 = [], [proj.s.apply(x)]
-        res = phantom_pure_subrep(quot, seeds1, seeds2, cfg)
-        gens1 = list(cur.s1.generators) + [
-            _lowest_preimage(q1, cur.s1, g) for g in res.subrep.s1.generators]
-        gens2 = list(cur.s2.generators) + [
-            _lowest_preimage(q2, cur.s2, g) for g in res.subrep.s2.generators]
-        nxt = SubRep(rep, Submodule(rep.m1, tuple(gens1)),
-                     Submodule(rep.m2, tuple(gens2)))
-        if not is_pure_subrep(nxt):
-            raise InternalConsistencyError("pulled-back step lost purity")
+            nxt, report = _quotient_step(cur, component, x, cfg)
         steps.append(nxt)
-        reports.append(StepReport(res.witnesses,
-                                  res.subrep.s1.cardinality,
-                                  res.subrep.s2.cardinality,
-                                  res.bound_m1, res.bound_m2))
+        reports.append(report)
     return Filtration(rep, tuple(steps), tuple(reports))
 
 

@@ -306,11 +306,8 @@ class ModuleMorphism:
     def apply(self, x: Sequence[int]) -> tuple[int, ...]:
         if len(x) != self.source.rank:
             raise InputError("element has wrong coordinate count")
-        tfac = self.target.invariant_factors
-        return tuple(
-            sum(row[j] * x[j] for j in range(self.source.rank)) % tfac[i]
-            for i, row in enumerate(self.matrix)
-        )
+        return tuple(sum(map(mul, row, x)) % ei
+                     for row, ei in zip(self.matrix, self.target.invariant_factors))
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.matrix)

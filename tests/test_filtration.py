@@ -32,6 +32,7 @@ from phantomcover.rep_a2 import (
     rep_colimit,
     restrict_rep,
 )
+from phantomcover.samplers import random_phantom_rep
 
 Z4 = Ring(4)
 
@@ -165,16 +166,21 @@ def test_verify_filtration_names_the_impure_component():
     assert detail == "impure step at index 1: s2 fails at d=2, witness (0,2)"
 
 
-def _count_step_quotients(monkeypatch):
+def _record_calls(monkeypatch, name):
+    """Wrap filtration.<name> so that each call's arguments are recorded."""
     calls = []
-    real = filtration.slice_phantom_witness
+    real = getattr(filtration, name)
 
-    def counting(lower, upper):
-        calls.append((lower, upper))
-        return real(lower, upper)
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(filtration, "slice_phantom_witness", counting)
+    monkeypatch.setattr(filtration, name, recording)
     return calls
+
+
+def _count_step_quotients(monkeypatch):
+    return _record_calls(monkeypatch, "slice_phantom_witness")
 
 
 def test_verify_filtration_builds_each_step_quotient_once(monkeypatch):
@@ -267,3 +273,67 @@ def test_pure_subrep_containing_idempotent(data):
         rep, res.subrep.s1.generators, res.subrep.s2.generators, cfg)
     assert same_subgroup(again.subrep.s1, res.subrep.s1)
     assert same_subgroup(again.subrep.s2, res.subrep.s2)
+
+
+def _ladder(k):
+    # (Z/8)^k -> Z/2 + (Z/4)^(k-1) + Z/8: each coordinate to its own factor
+    # and their sum to Z/8, after the source automorphism x_j += x_(j+1)
+    ring = Ring(8)
+    src = mod(ring, *([8] * k))
+    tgt = mod(ring, 2, *([4] * (k - 1)), 8)
+    rows = [[int(j in (i - 1, i)) for j in range(k)] for i in range(k)]
+    rows.append([1] + [2] * (k - 1))
+    return RepA2(src, tgt, morph(src, tgt, rows))
+
+
+def test_build_filtration_ladder_forms_no_quotient(monkeypatch):
+    calls = _record_calls(monkeypatch, "_quotient_rep_data")
+    cfg = FiltrationConfig(kappa=8)
+    filt = build_filtration(_ladder(8), cfg)
+    assert calls == []
+    assert all(r.witnesses == 0 for r in filt.reports)
+    assert verify_filtration(filt, cfg).ok
+
+
+def test_build_filtration_quotient_only_for_witnesses(monkeypatch):
+    # step 0 of this sample adjoins two purification witnesses
+    rep = random_phantom_rep(11, Ring(8), 64)
+    calls = _record_calls(monkeypatch, "_quotient_rep_data")
+    filt = build_filtration(rep, FiltrationConfig(kappa=8))
+    assert calls == [(filt.steps[0],)]
+    assert [r.witnesses for r in filt.reports] == [2, 0]
+    assert filt.steps[1].s1.generators == ((1,),)
+    assert filt.steps[1].s2.generators == ((0, 4), (0, 2), (0, 1))
+    assert (filt.reports[0].bound_m1, filt.reports[0].bound_m2) == (8, 512)
+
+
+def test_build_filtration_ambient_steps_match_quotient_route(monkeypatch):
+    # every step but a jump to the top, rebuilt in the quotient from the
+    # step before it, has the same generators and report; exactly the steps
+    # that adjoin witnesses were built there
+    routed = _record_calls(monkeypatch, "_quotient_rep_data")
+    ambient = witness = 0
+    for n in (4, 8, 9, 12, 16, 36, 72):
+        cfg = FiltrationConfig(kappa=n)
+        for seed in range(1, 41):
+            for size in (64, 4096):
+                rep = random_phantom_rep(seed, Ring(n), size)
+                del routed[:]
+                filt = build_filtration(rep, cfg)
+                assert routed == [(cur,) for cur, r in zip(filt.steps, filt.reports)
+                                  if r.witnesses]
+                for cur, nxt, report in zip(filt.steps, filt.steps[1:], filt.reports):
+                    if (rep.m1.cardinality // cur.s1.cardinality <= n
+                            and rep.m2.cardinality // cur.s2.cardinality <= n):
+                        continue
+                    component, x = filtration._fresh_element(rep, cur)
+                    again, again_report = filtration._quotient_step(
+                        cur, component, x, cfg)
+                    assert again.s1.generators == nxt.s1.generators
+                    assert again.s2.generators == nxt.s2.generators
+                    assert again_report == report
+                    if report.witnesses:
+                        witness += 1
+                    else:
+                        ambient += 1
+    assert ambient >= 100 and witness >= 20
