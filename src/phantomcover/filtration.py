@@ -170,7 +170,7 @@ def _quotient_step(cur: SubRep, component: int, x,
         _lowest_preimage(q1, cur.s1, g) for g in res.subrep.s1.generators)
     gens2 = cur.s2.generators + tuple(
         _lowest_preimage(q2, cur.s2, g) for g in res.subrep.s2.generators)
-    nxt = SubRep(rep, Submodule(rep.m1, gens1), Submodule(rep.m2, gens2))
+    nxt = SubRep.extending(cur, Submodule(rep.m1, gens1), Submodule(rep.m2, gens2))
     if not is_pure_subrep(nxt):
         raise InternalConsistencyError("pulled-back step lost purity")
     return nxt, StepReport(res.witnesses, res.subrep.s1.cardinality,
@@ -189,7 +189,7 @@ def _ambient_candidate(cur: SubRep, component: int, x) -> SubRep:
         gens2 += (cur.s2.coset_minimum(rep.f.apply(x)),)
     else:
         gens2 += (x,)
-    return SubRep(rep, Submodule(rep.m1, gens1), Submodule(rep.m2, gens2))
+    return SubRep.extending(cur, Submodule(rep.m1, gens1), Submodule(rep.m2, gens2))
 
 
 def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
@@ -287,9 +287,13 @@ def verify_filtration(filtration: Filtration,
     every step, chain containment with the union reaching the target, phantom
     quotient steps, the surfaced size bounds, and strict growth below the top.
 
-    Each slice S_(i+1)/S_i is decided once, and only when the chain is
-    contained: its sizes are quotients of the steps' Howell cardinalities,
-    and the phantom check and the size check both read it.  A non-phantom
+    Chain containment reduces only the generators of S_i that S_(i+1) does
+    not list literally, so a step that re-lists the one below it costs no
+    reduction.  Each slice S_(i+1)/S_i is decided once, and only when the
+    chain is contained: its sizes are quotients of the steps' Howell
+    cardinalities, and the phantom check and the size check both read it.
+    A slice element of order n is tested against T_(i+1)'s own Howell
+    form, any other order d against a form built for it.  A non-phantom
     slice names the order d and the element g of S_(i+1) whose image lies
     outside (n/d) * T_(i+1) + T_i.  The size check fails when a report
     records other quotient sizes, a bound below them, or (given the config)

@@ -446,7 +446,12 @@ class Submodule:
         return _unscaled(amb, self.howell.reduce(_scaled(amb, amb.reduce(x))))
 
     def contains_submodule(self, other: "Submodule") -> bool:
-        return all(self.contains(g) for g in other.generators)
+        """Whether other <= self, in one ambient; a generator of other that
+        is literally one of self's needs no reduction."""
+        if other.ambient != self.ambient:
+            raise InputError("contains_submodule: ambient modules differ")
+        own = set(self.generators)
+        return all(g in own or self.contains(g) for g in other.generators)
 
     def join(self, extra: Iterable[Sequence[int]]) -> "Submodule":
         return Submodule(self.ambient, self.generators + tuple(tuple(g) for g in extra))

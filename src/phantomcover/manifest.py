@@ -328,6 +328,13 @@ def serialize_filtration(manifest: Manifest, filtration: Filtration,
 
 
 def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]:
+    """Parse a filtration file: the manifest objects, then the chain records.
+
+    Each [step i] is checked to be a subrepresentation of the target as it
+    is read: through `SubRep.extending` against step i-1 when that record
+    came earlier, so a step that re-lists the generators of the one below
+    it has f applied only to the first-component generators it adds, and
+    through the full `SubRep` check otherwise.  Errors carry the line."""
     object_lines = []
     chain_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -364,11 +371,12 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
             idx = _int(name, "step index", lineno)
             if idx in steps:
                 raise InputError(f"line {lineno}: duplicate [step {idx}] record")
+            prev = steps.get(idx - 1)
             try:
-                steps[idx] = SubRep(
-                    target,
-                    Submodule(target.m1, tuple(_vectors(fields["s1"], lineno))),
-                    Submodule(target.m2, tuple(_vectors(fields["s2"], lineno))))
+                s1 = Submodule(target.m1, tuple(_vectors(fields["s1"], lineno)))
+                s2 = Submodule(target.m2, tuple(_vectors(fields["s2"], lineno)))
+                steps[idx] = (SubRep(target, s1, s2) if prev is None
+                              else SubRep.extending(prev, s1, s2))
             except InputError as exc:
                 raise InputError(f"line {lineno}: {exc}") from None
         elif kind == "stepreport":

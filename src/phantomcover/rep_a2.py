@@ -6,7 +6,7 @@ the split extension showing ideal classes are not closed under extensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 from .errors import InputError, InternalConsistencyError
@@ -102,13 +102,28 @@ class SubRep:
     ambient: RepA2
     s1: Submodule
     s2: Submodule
+    # the generators of s1 before this index are known to map into s2
+    _checked: InitVar[int] = 0
 
-    def __post_init__(self):
+    def __post_init__(self, _checked):
         if self.s1.ambient != self.ambient.m1 or self.s2.ambient != self.ambient.m2:
             raise InputError("subrepresentation components live in the wrong modules")
-        for g in self.s1.generators:
-            if not self.s2.contains(self.ambient.f.apply(g)):
+        f = self.ambient.f
+        for g in self.s1.generators[_checked:]:
+            if not self.s2.contains(f.apply(g)):
                 raise InputError("f does not carry the first component into the second")
+
+    @classmethod
+    def extending(cls, prev: "SubRep", s1: Submodule, s2: Submodule) -> "SubRep":
+        """The subrepresentation (s1, s2) of prev's representation, checked
+        step-wise against prev.  When prev's generator tuples are prefixes
+        of s1's and s2's, f is applied only to the generators of s1 beyond
+        prev's: the older ones map into prev.s2, which lies in s2.  Any other
+        pair goes through the full check.  The ambients are checked either
+        way, and the errors are the constructor's."""
+        g1, g2 = prev.s1.generators, prev.s2.generators
+        prefix = s1.generators[:len(g1)] == g1 and s2.generators[:len(g2)] == g2
+        return cls(prev.ambient, s1, s2, len(g1) if prefix else 0)
 
     @classmethod
     def zero(cls, rep: RepA2) -> "SubRep":
@@ -160,7 +175,10 @@ def slice_phantom_witness(lower: SubRep,
     `slice_generators(S, S')` with f(g) outside (n/d) * T' + T, for S, T the
     components of lower and S', T' those of upper; None when it is phantom.
     `is_phantom`'s column test holds for any cyclic decomposition of S'/S,
-    and (n/d) * (T'/T) is ((n/d) * T' + T) / T: one Howell form per d."""
+    and (n/d) * (T'/T) is ((n/d) * T' + T) / T: one Howell form per d.
+    For d = n that span is T' itself, as T <= T' is checked first, and the
+    reduced Howell basis is unique for its span, so the test reads the
+    form T' already holds and builds none."""
     if lower.ambient != upper.ambient:
         raise InputError("slice: subrepresentations of different representations")
     rep = upper.ambient
@@ -168,7 +186,7 @@ def slice_phantom_witness(lower: SubRep,
     top, bottom = upper.s2.howell, lower.s2.howell
     if not all(top.contains(row) for row in bottom.rows):
         raise InternalConsistencyError("slice: lower second component is not in the upper one")
-    forms = {}
+    forms = {n: top}
     for d, g in slice_generators(lower.s1, upper.s1):
         if d not in forms:
             forms[d] = howell_form([[n // d * x for x in row] for row in top.rows]

@@ -152,6 +152,36 @@ def test_verify_filtration_certifies_a_non_phantom_quotient(capsys, tmp_path):
     ]
 
 
+ESCAPING_STEPS = """\
+[manifest] version=1
+[ring] n=8
+[module a] factors=8
+[morphism f] from=a to=a rows=1
+[rep r] f=f
+[filtration] target=r kappa=8
+[step 0] s1= s2=
+"""
+
+
+@pytest.mark.parametrize("step1, step2", [
+    ("s1= s2=2", "s1=1 s2=2"),
+    ("s1=2 s2=2", "s1=2;4;1 s2=2"),
+    ("s1=2 s2=2", "s1=2 s2=4"),
+    ("s1=2 s2=2", "s1=4;2 s2=4"),
+], ids=["new-generator", "second-new-generator", "s2-not-prefix", "s1-not-prefix"])
+def test_step_generator_escaping_the_second_component_is_an_input_error(
+        tmp_path, capsys, step1, step2):
+    # f is the identity of Z/8, so f(1) lies outside <2> and f(2) outside
+    # <4>; a step that re-lists the one before it has only its new first
+    # component generators checked, any other step all of them
+    path = tmp_path / "escape.filt"
+    path.write_text(ESCAPING_STEPS + f"[step 1] {step1}\n[step 2] {step2}\n",
+                    encoding="utf-8")
+    assert main(["verify-filtration", "--input", str(path)]) == 2
+    assert ("line 9: f does not carry the first component into the second"
+            in capsys.readouterr().err)
+
+
 def test_counterexample_ext_command(demo, capsys):
     code, out = run(["counterexample-ext", "--input", demo,
                      "--morphism", "ident2"], capsys)

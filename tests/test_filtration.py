@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import phantom_morphisms, rings
-from phantomcover import filtration
+from phantomcover import filtration, rep_a2
 from phantomcover.errors import InputError
 from phantomcover.filtration import (
     Filtration,
@@ -20,6 +20,7 @@ from phantomcover.finmod import (
     Submodule,
     is_automorphism,
     same_subgroup,
+    slice_generators,
     solve_left_factor,
 )
 from phantomcover.ideals import is_phantom
@@ -166,16 +167,16 @@ def test_verify_filtration_names_the_impure_component():
     assert detail == "impure step at index 1: s2 fails at d=2, witness (0,2)"
 
 
-def _record_calls(monkeypatch, name):
-    """Wrap filtration.<name> so that each call's arguments are recorded."""
+def _record_calls(monkeypatch, name, module=filtration):
+    """Wrap module.<name> so that each call's arguments are recorded."""
     calls = []
-    real = getattr(filtration, name)
+    real = getattr(module, name)
 
     def recording(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(filtration, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
@@ -337,3 +338,56 @@ def test_build_filtration_ambient_steps_match_quotient_route(monkeypatch):
                     else:
                         ambient += 1
     assert ambient >= 100 and witness >= 20
+
+
+def test_verify_filtration_ladder_builds_no_slice_form(monkeypatch):
+    # every ladder slice generator has order n, so each slice is tested
+    # against the upper step's own Howell form: no form is built for it
+    cfg = FiltrationConfig(kappa=8)
+    filt = build_filtration(_ladder(8), cfg)
+    orders = [d for low, up in zip(filt.steps, filt.steps[1:])
+              for d, _ in slice_generators(low.s1, up.s1)]
+    assert orders == [8] * 8
+    built = _record_calls(monkeypatch, "howell_form", rep_a2)
+    assert verify_filtration(filt, cfg).ok
+    assert built == []
+
+
+def test_build_filtration_steps_pass_the_full_subrep_check():
+    # the builder checks each step against the one before it; the full
+    # constructor, which trusts no earlier step, accepts every one
+    checked = 0
+    for n in (4, 8, 9, 12, 16, 36):
+        for seed in range(1, 21):
+            rep = random_phantom_rep(seed, Ring(n), 4096)
+            for step in build_filtration(rep, FiltrationConfig(kappa=n)).steps:
+                assert SubRep(rep, step.s1, step.s2) == step
+                checked += 1
+    assert checked >= 300
+
+
+def test_build_filtration_checks_each_generator_once(monkeypatch):
+    # on the ladder the SubRep checks apply f once to each S1 generator a
+    # step adds, and to M1's generators once at the jump to the top
+    applied, inside = [], []
+    real_check, real_apply = SubRep.__post_init__, ModuleMorphism.apply
+
+    def check(self, *args):
+        inside.append(True)
+        try:
+            return real_check(self, *args)
+        finally:
+            inside.pop()
+
+    def apply(self, x):
+        if inside:
+            applied.append(tuple(x))
+        return real_apply(self, x)
+
+    monkeypatch.setattr(SubRep, "__post_init__", check)
+    monkeypatch.setattr(ModuleMorphism, "apply", apply)
+    filt = build_filtration(_ladder(8), FiltrationConfig(kappa=8))
+    below = [g for step in filt.steps[:-1] for g in step.s1.generators]
+    distinct = list(dict.fromkeys(below))
+    assert applied == distinct + list(filt.steps[-1].s1.generators)
+    assert len(applied) == 16 < len(below) + 8

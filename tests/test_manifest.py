@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from phantomcover.errors import InputError
@@ -106,3 +108,23 @@ def test_filtration_roundtrip():
         assert s1.s2.generators == s2.s2.generators
     # and the file round-trips bit-exactly through its own serializer
     assert serialize_filtration(man2, filt2, cfg2) == text
+
+
+def test_filtration_steps_parse_in_any_record_order():
+    # a step is checked against the one before it only when that record
+    # came first; any order of the [step] records gives the same chain
+    four3 = FiniteModule(Z4, (4, 4, 4))
+    rep = RepA2.from_morphism(ModuleMorphism(
+        four3, four3, ((2, 1, 0), (0, 2, 0), (0, 0, 2))))
+    cfg = FiltrationConfig(kappa=4)
+    text = serialize_filtration(Manifest(Z4), build_filtration(rep, cfg), cfg)
+    lines = text.splitlines()
+    at = [i for i, l in enumerate(lines) if l.startswith("[step ")]
+    assert len(at) >= 4
+    _, filt, _ = parse_filtration(text)
+    rng = random.Random(5)
+    for order in [at[::-1]] + [rng.sample(at, len(at)) for _ in range(5)]:
+        shuffled = list(lines)
+        for i, j in zip(at, order):
+            shuffled[i] = lines[j]
+        assert parse_filtration("\n".join(shuffled) + "\n")[1] == filt

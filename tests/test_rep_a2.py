@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import elements, modules, morphisms, phantom_morphisms, rings
 from phantomcover.errors import InputError, InternalConsistencyError
+from phantomcover.exact_linalg import howell_form
 from phantomcover.finmod import (
     FiniteModule,
     ModuleMorphism,
@@ -74,6 +75,75 @@ def test_rep_morphism_square_enforced():
     with pytest.raises(InputError):
         RepMorphism(rep, RepA2(rep.m1, rep.m2, ModuleMorphism.identity(rep.m1)),
                     ModuleMorphism.identity(rep.m1), ModuleMorphism.identity(rep.m2))
+
+
+def test_subrep_extending_checks_only_new_generators(monkeypatch):
+    # over Z/8 with f the identity: f(2) lies in <2>, f(1) does not
+    z8 = Ring(8)
+    m = mod(z8, 8)
+    rep = RepA2(m, m, ModuleMorphism.identity(m))
+    prev = SubRep(rep, Submodule(m, ((2,),)), Submodule(m, ((2,),)))
+    applied = []
+    real = ModuleMorphism.apply
+
+    def recording(self, x):
+        applied.append(tuple(x))
+        return real(self, x)
+
+    monkeypatch.setattr(ModuleMorphism, "apply", recording)
+    grown = SubRep.extending(prev, Submodule(m, ((2,), (4,))), Submodule(m, ((2,), (1,))))
+    assert applied == [(4,)]
+    assert grown == SubRep(rep, grown.s1, grown.s2)
+    # the second new generator escapes <2>, whatever the first does
+    with pytest.raises(InputError, match="does not carry"):
+        SubRep.extending(prev, Submodule(m, ((2,), (4,), (1,))), Submodule(m, ((2,),)))
+    # not a prefix in the second component: the old generator 2 escapes <4>
+    del applied[:]
+    with pytest.raises(InputError, match="does not carry"):
+        SubRep.extending(prev, Submodule(m, ((2,),)), Submodule(m, ((4,),)))
+    assert applied == [(2,)]
+    # not a prefix in the first component: every generator is checked
+    del applied[:]
+    SubRep.extending(prev, Submodule(m, ((4,), (2,))), Submodule(m, ((2,),)))
+    assert applied == [(4,), (2,)]
+    # the ambients are checked on the prefix route too
+    other = mod(z8, 2, 8)
+    with pytest.raises(InputError, match="wrong modules"):
+        SubRep.extending(SubRep.zero(rep), Submodule.zero(other), Submodule.zero(m))
+
+
+def test_contains_submodule_needs_one_ambient():
+    # same rank, other factors: no silent reduction into the wrong module
+    z8 = Ring(8)
+    a, b = mod(z8, 8, 8), mod(z8, 4, 8)
+    with pytest.raises(InputError, match="ambient"):
+        Submodule.full(a).contains_submodule(Submodule(b, ((1, 1),)))
+    rep_a = RepA2(a, a, ModuleMorphism.identity(a))
+    rep_b = RepA2(b, b, ModuleMorphism.identity(b))
+    with pytest.raises(InputError, match="ambient"):
+        SubRep.full(rep_a).contains(SubRep.zero(rep_b))
+
+
+def test_contains_submodule_reduces_only_unlisted_generators(monkeypatch):
+    z8 = Ring(8)
+    m = mod(z8, 8, 8)
+    big = Submodule(m, ((2, 0), (0, 4)))
+    reduced = []
+    real = Submodule.contains
+
+    def recording(self, x):
+        reduced.append(tuple(x))
+        return real(self, x)
+
+    monkeypatch.setattr(Submodule, "contains", recording)
+    assert big.contains_submodule(Submodule(m, ((0, 4), (2, 0))))
+    assert reduced == []
+    assert big.contains_submodule(Submodule(m, ((2, 0), (4, 4))))
+    assert reduced == [(4, 4)]
+    assert not big.contains_submodule(Submodule(m, ((2, 0), (0, 2))))
+    # a listed generator given unreduced is the same element
+    assert big.contains_submodule(Submodule(m, ((10, 0),)))
+    assert reduced == [(4, 4), (0, 2)]
 
 
 def test_subrep_validation():
@@ -282,14 +352,34 @@ def _random_slice(rng):
     return rep, lower, upper
 
 
+def _quotient_witness(rep, proj, lower, upper):
+    """The first slice generator (d, g) whose image in M2 / T lies outside
+    (n/d) * (T' / T), decided in rep / lower through its projection proj."""
+    n = rep.ring.modulus
+    images = [proj.s.apply(t) for t in upper.s2.generators]
+    for d, g in slice_generators(lower.s1, upper.s1):
+        scaled = Submodule(proj.s.target, tuple(proj.s.target.smul(n // d, t) for t in images))
+        if not scaled.contains(proj.s.apply(rep.f.apply(g))):
+            return d, g
+    return None
+
+
 def test_slice_matches_quotient_then_restriction():
     # the verdict and both sizes agree with forming upper / lower inside
-    # rep / lower, presenting it, and testing its map column by column
+    # rep / lower, presenting it, and testing its map column by column, and
+    # the witness with deciding each slice generator there, for generators
+    # of order n (read against T' itself) and below
     rng = random.Random(20261019)
-    seen = {"non_phantom": 0, "impure": 0, "zero": 0, "equal": 0}
+    seen = {"non_phantom": 0, "impure": 0, "zero": 0, "equal": 0,
+            "order_n": 0, "order_below_n": 0}
     for _ in range(1000):
         rep, lower, upper = _random_slice(rng)
         quot, proj = quotient_rep(lower)
+        assert (slice_phantom_witness(lower, upper)
+                == _quotient_witness(rep, proj, lower, upper))
+        orders = [d for d, _ in slice_generators(lower.s1, upper.s1)]
+        seen["order_n"] += orders.count(rep.ring.modulus)
+        seen["order_below_n"] += len(orders) - orders.count(rep.ring.modulus)
         inner, _ = restrict_rep(SubRep(
             quot,
             Submodule(quot.m1, tuple(proj.d.apply(g) for g in upper.s1.generators)),
@@ -303,6 +393,23 @@ def test_slice_matches_quotient_then_restriction():
         seen["zero"] += lower.cardinality == 2
         seen["equal"] += lower.contains(upper)
     assert min(seen.values()) >= 100, seen
+
+
+def test_full_order_slice_reads_the_upper_form():
+    # for a slice generator of order n, (n/n) * T' + T is T' itself, and
+    # its reduced Howell basis is the one T' already holds
+    rng = random.Random(20261019)
+    seen, moduli = 0, set()
+    for _ in range(1000):
+        rep, lower, upper = _random_slice(rng)
+        n = rep.ring.modulus
+        top, bottom = upper.s2.howell, lower.s2.howell
+        for d, _ in slice_generators(lower.s1, upper.s1):
+            if d == n:
+                assert howell_form(list(top.rows) + list(bottom.rows), n, rep.m2.rank) == top
+                seen += 1
+                moduli.add(n)
+    assert seen >= 100 and len(moduli) >= 12, (seen, moduli)
 
 
 def test_slice_generators_decompose_the_quotient():
