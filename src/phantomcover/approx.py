@@ -73,18 +73,26 @@ def phantom_probe_set(m: FiniteModule, size_bound: int = 256) -> list[ModuleMorp
     for target factor e_i and source factor d_j it is the single-entry
     matrix with (n / d_j) mod e_i at (i, j).  Generators of Hom(P, m) for
     the indecomposable projectives P follow as an independent guard.
+    Where the entry is 0 the probe is the zero map, one shared object per
+    source class, so that `is_precover` decides a run of them once.
     `oracles.phantom_probe_set_by_composition` builds the same list by
     composing through the free cover.
     """
     n = m.ring.modulus
+    rank = m.rank
     probes = []
     for cls in module_classes(m.ring, size_bound):
         zero = (0,) * cls.rank
+        zero_map = ModuleMorphism._trusted(cls, m, (zero,) * rank)
         for i, ei in enumerate(m.invariant_factors):
+            above, below = (zero,) * i, (zero,) * (rank - i - 1)
             for j, dj in enumerate(cls.invariant_factors):
-                row = zero[:j] + ((n // dj) % ei,) + zero[j + 1:]
-                rows = (zero,) * i + (row,) + (zero,) * (m.rank - i - 1)
-                probes.append(ModuleMorphism._trusted(cls, m, rows))
+                entry = (n // dj) % ei
+                if entry == 0:
+                    probes.append(zero_map)
+                    continue
+                row = zero[:j] + (entry,) + zero[j + 1:]
+                probes.append(ModuleMorphism._trusted(cls, m, above + (row,) + below))
     for p in indecomposable_projectives(m.ring):
         probes.extend(hom_group(p, m))
     return probes
@@ -123,13 +131,19 @@ def is_precover(ideal: MorphismIdeal, phi: ModuleMorphism,
     no factorization is built.  The subgroup for each order and the verdict
     for each (order, column) pair are memoized for this call only.  Probes
     built in closed form share phi's target object, so targets compare by
-    identity before equality.
+    identity before equality.  A probe that is the same object as the one
+    just before it is already decided and is skipped after its target
+    check; `phantom_probe_set` lists its shared zero maps in such runs.
     """
     images: dict[int, Submodule] = {}
     verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
+    prev = None
     for probe in probes:
         if probe.target is not phi.target and probe.target != phi.target:
             raise InputError("probe does not land in the morphism's target")
+        if probe is prev:
+            continue
+        prev = probe
         for d, y in zip(probe.source.invariant_factors, zip(*probe.matrix)):
             if not any(y):
                 continue

@@ -173,6 +173,89 @@ def test_precover_membership_matches_the_solver(data):
         assert subgroup_elements(torsion_image(phi, d)) == {phi.apply(e) for e in torsion}
 
 
+def _copies(probes):
+    """Distinct, equal copies of each listed probe."""
+    return [ModuleMorphism(p.source, p.target, p.matrix) for p in probes]
+
+
+def test_precover_repeated_probe_objects_match_distinct_copies():
+    # phi has image 2*Z/4: `lifts` factors through it, `fails` does not
+    four, two = mod(Z4, 4), mod(Z4, 2)
+    phi = morph(four, four, [[2]])
+    lifts = morph(four, four, [[2]])
+    fails = ModuleMorphism.identity(four)
+    zero = ModuleMorphism.zero_map(two, four)
+    hom = MorphismIdeal.full_hom(Z4)
+    for probes, first_failure in [
+            ([lifts, lifts, zero, zero], None),
+            ([zero, lifts, zero, lifts], None),
+            ([lifts, lifts, fails, fails], 2),
+            ([fails, lifts, fails], 0),
+            ([zero, fails, zero, fails, fails], 1)]:
+        for listed in (probes, _copies(probes)):
+            result = is_precover(hom, phi, listed)
+            assert result.holds == (first_failure is None)
+            expected = None if first_failure is None else listed[first_failure]
+            assert result.failing_probe is expected
+
+
+def test_precover_foreign_target_before_and_after_the_first_failure():
+    four, two = mod(Z4, 4), mod(Z4, 2)
+    phi = morph(four, four, [[2]])
+    lifts = morph(four, four, [[2]])
+    fails = ModuleMorphism.identity(four)
+    foreign = ModuleMorphism.identity(two)
+    hom = MorphismIdeal.full_hom(Z4)
+    for probes in ([lifts, lifts, foreign, fails], [foreign, foreign, fails]):
+        with pytest.raises(InputError, match="target"):
+            is_precover(hom, phi, probes)
+    for probes in ([fails, foreign], [lifts, lifts, fails, fails, foreign]):
+        result = is_precover(hom, phi, probes)
+        assert not result.holds and result.failing_probe is fails
+
+
+@pytest.mark.parametrize("n, factors", [
+    (16, (2, 4, 8)), (8, (2, 2, 2)), (12, (4, 4, 4)), (12, (2, 6)), (9, (3,))])
+def test_phantom_probe_set_shares_one_zero_map_per_source_class(n, factors):
+    m = mod(Ring(n), *factors)
+    classes = module_classes(m.ring, 256)
+    probes = phantom_probe_set(m, size_bound=256)
+    closed_form = probes[:sum(m.rank * cls.rank for cls in classes)]
+    zero_maps = {}
+    for probe in closed_form:
+        if probe.is_zero:
+            assert zero_maps.setdefault(probe.source, probe) is probe
+    assert zero_maps
+
+
+def test_probe_sweep_verdicts_match_universal_maps_on_cover_shapes():
+    # every class of rank at most 3 and cardinality at most 64 over the
+    # moduli of the cover benchmark; besides the cover, a map that is a
+    # precover but not a cover (a spare free summand sent to 0) and, for
+    # m != 0, the zero map, which is no precover
+    for n in (4, 6, 8, 9, 12, 16):
+        ring = Ring(n)
+        phant = MorphismIdeal.phantom(ring)
+        for m in module_classes(ring, 64):
+            if m.rank > 3:
+                continue
+            probes = phantom_probe_set(m, size_bound=256)
+            universal = universal_maps(phant, m)
+            cover = phantom_cover(m)
+            zero = ModuleMorphism.zero_map(cover.source, m)
+            spare = ModuleMorphism(
+                FiniteModule(ring, cover.source.invariant_factors + (n,)), m,
+                tuple(row + (0,) for row in cover.matrix))
+            for phi in (cover, zero, spare):
+                assert is_precover(phant, phi, probes).holds == is_precover(
+                    phant, phi, universal).holds, (m, phi)
+                assert is_cover(phant, phi, probes) == is_cover(phant, phi, universal), (m, phi)
+            assert is_cover(phant, cover, probes) is True
+            assert is_precover(phant, zero, probes).holds == m.is_zero
+            assert is_precover(phant, spare, probes).holds
+            assert is_cover(phant, spare, probes) is False
+
+
 def _sweep(ideal, m, bound):
     """Generators of every member of the ideal into m from the module
     classes of cardinality at most bound."""
