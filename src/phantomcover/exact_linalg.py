@@ -9,7 +9,9 @@ are reproducible across runs.  The Howell form keeps every entry in [0, n).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import gcd, prod
 from typing import Optional, Sequence
@@ -305,7 +307,7 @@ class HowellForm:
     def contains(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce(vec))
 
-    @property
+    @cached_property
     def cardinality(self) -> int:
         return prod(self.modulus // row[j] for row, j in zip(self.rows, self.pivots))
 
@@ -389,6 +391,101 @@ def howell_form(rows: Sequence[Sequence[int]], n: int, width: int) -> HowellForm
                 for c in range(j, width):
                     row_i[c] = (row_i[c] - q * row_k[c]) % n
     return HowellForm(n, width, tuple(tuple(r) for r in basis), tuple(pivots))
+
+
+def howell_insert(form: HowellForm, rows: Sequence[Sequence[int]]) -> HowellForm:
+    """Reduced Howell basis of span(form) + span(rows): what `howell_form`
+    returns for form.rows + rows, built by insertion.
+
+    Each added row is reduced against the form, and one that reduces to
+    zero already lies in the span and is dropped.  The column loop of
+    `howell_form` then runs from the first remainder's leading column,
+    before which the form's rows are final, with the remainders in play; at
+    each column the form's row leading there, if any, is the first lead.  A
+    lead that no gcd transform changed is the form's row itself, and its
+    annihilated row (n/p) * row is not put in play: by the form's Howell
+    property it lies in the span of the form's rows after it, which stay in
+    the span of the result's rows after it.  A changed lead puts its
+    annihilated row in play, as `howell_form` does, so the result has the
+    Howell property.  Back-reduction touches only the rows that changed and
+    the entries above a changed lead; the form's other rows were already
+    reduced.  The reduced Howell basis is unique for its span (Howell
+    1986), so the result equals `howell_form` of all the rows, entry for
+    entry.
+    """
+    n, width = form.modulus, form.width
+    pool = []
+    for r in rows:
+        if len(r) != width:
+            raise InputError("howell_insert: row length mismatch")
+        x = form.reduce(r)
+        if any(x):
+            pool.append(list(x))
+    if not pool:
+        return form
+    start = min(next(j for j, v in enumerate(x) if v) for x in pool)
+    old = bisect_left(form.pivots, start)
+    # the form's rows stay tuples; a changed or new row is a list
+    basis: list = list(form.rows[:old])
+    pivots = list(form.pivots[:old])
+    new_lead = [False] * old
+    for j in range(start, width):
+        if not pool:
+            break
+        lead, changed = None, False
+        if old < len(form.pivots) and form.pivots[old] == j:
+            lead = form.rows[old]
+            old += 1
+        rest = []
+        for r in pool:
+            b = r[j]
+            if b == 0:
+                rest.append(r)
+                continue
+            if lead is None:
+                lead, changed = r, True
+                continue
+            a = lead[j]
+            if b % a == 0:
+                q = b // a
+                other = [(y - q * x) % n for x, y in zip(lead, r)]
+            else:
+                g, s, w = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                other = [(ag * y - bg * x) % n for x, y in zip(lead, r)]
+                lead, changed = [(s * x + w * y) % n for x, y in zip(lead, r)], True
+            if any(other):
+                rest.append(other)
+        pool = rest
+        if lead is None:
+            continue
+        if changed:
+            u = _unit_normalizer(lead[j], n)
+            if u != 1:
+                lead = [(u * x) % n for x in lead]
+            annihilated = [((n // lead[j]) * x) % n for x in lead]
+            if any(annihilated):
+                pool.append(annihilated)
+        basis.append(lead)
+        pivots.append(j)
+        new_lead.append(changed)
+    basis += form.rows[old:]
+    pivots += form.pivots[old:]
+    new_lead += [False] * (len(form.pivots) - old)
+    dirty = [k for k, fresh in enumerate(new_lead) if fresh]
+    for k, j in enumerate(pivots):
+        row_k = basis[k]
+        p = row_k[j]
+        for i in (range(k) if new_lead[k] else [i for i in dirty if i < k]):
+            row_i = basis[i]
+            q = row_i[j] // p
+            if q:
+                if type(row_i) is tuple:
+                    row_i = basis[i] = list(row_i)
+                    insort(dirty, i)
+                for c in range(j, width):
+                    row_i[c] = (row_i[c] - q * row_k[c]) % n
+    return HowellForm(n, width, tuple(map(tuple, basis)), tuple(pivots))
 
 
 def graph_form(a: IntMatrix, n: int) -> HowellForm:

@@ -18,16 +18,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
-from .finmod import QuotientData, Submodule, impurity, pure_closure_counted
+from .finmod import PurityForms, QuotientData, Submodule, impurity, pure_closure_counted
 from .ideals import MorphismIdeal
 from .rep_a2 import (
     RepA2,
     SubRep,
     _quotient_rep_data,
     in_ideal_class,
-    is_pure_subrep,
     slice_is_phantom,
     slice_phantom_witness,
+    subrep_purity,
 )
 
 
@@ -104,6 +104,10 @@ def phantom_pure_subrep(rep: RepA2, x1_seeds: Sequence[Sequence[int]],
     return res
 
 
+# the purity forms of a step's two components
+_StepForms = tuple[PurityForms, PurityForms]
+
+
 @dataclass(frozen=True)
 class StepReport:
     witnesses: int
@@ -159,7 +163,6 @@ def _quotient_step(cur: SubRep, component: int, x,
     rep / cur around the image of x and pull its generators back to their
     lowest preimages.  The only route that adjoins purification witnesses,
     each the lowest in the quotient's canonical coordinates."""
-    rep = cur.ambient
     quot, proj, q1, q2 = _quotient_rep_data(cur)
     if component == 1:
         seeds1, seeds2 = [proj.d.apply(x)], []
@@ -170,9 +173,7 @@ def _quotient_step(cur: SubRep, component: int, x,
         _lowest_preimage(q1, cur.s1, g) for g in res.subrep.s1.generators)
     gens2 = cur.s2.generators + tuple(
         _lowest_preimage(q2, cur.s2, g) for g in res.subrep.s2.generators)
-    nxt = SubRep.extending(cur, Submodule(rep.m1, gens1), Submodule(rep.m2, gens2))
-    if not is_pure_subrep(nxt):
-        raise InternalConsistencyError("pulled-back step lost purity")
+    nxt = SubRep.extending(cur, gens1, gens2)
     return nxt, StepReport(res.witnesses, res.subrep.s1.cardinality,
                            res.subrep.s2.cardinality, res.bound_m1, res.bound_m2)
 
@@ -189,7 +190,7 @@ def _ambient_candidate(cur: SubRep, component: int, x) -> SubRep:
         gens2 += (cur.s2.coset_minimum(rep.f.apply(x)),)
     else:
         gens2 += (x,)
-    return SubRep.extending(cur, Submodule(rep.m1, gens1), Submodule(rep.m2, gens2))
+    return SubRep.extending(cur, gens1, gens2)
 
 
 def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
@@ -206,12 +207,18 @@ def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
     back the same generators; its slice is cyclic, of order at most
     n <= kappa, and is re-checked phantom.  Only an impure candidate takes
     the quotient route, `_quotient_step`.
+
+    Each candidate and each step is built by `SubRep.extending` from the
+    step below, so its Howell bases and purity forms are the step below's
+    with the new generators inserted.  The walk hands each step's purity
+    forms to the next candidate and keeps no others.
     """
     cfg.check(rep)
     if not in_ideal_class(MorphismIdeal.phantom(rep.ring), rep):
         raise InputError("build_filtration needs a phantom representation")
     steps = [SubRep.zero(rep)]
     reports: list[StepReport] = []
+    forms: Optional[_StepForms] = None  # of steps[-1], where the walk read them
     while not steps[-1].is_full:
         cur = steps[-1]
         c1 = rep.m1.cardinality // cur.s1.cardinality
@@ -225,7 +232,8 @@ def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
             raise InternalConsistencyError("no fresh element in a proper step")
         component, x = fresh
         nxt = _ambient_candidate(cur, component, x)
-        if is_pure_subrep(nxt):
+        nxt_forms = subrep_purity(nxt, forms)
+        if nxt_forms is not None:
             if not slice_is_phantom(cur, nxt):
                 raise InternalConsistencyError("purified subrepresentation is not phantom")
             report = StepReport(
@@ -233,8 +241,12 @@ def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
                 nxt.s2.cardinality // cur.s2.cardinality, cfg.kappa, cfg.kappa)
         else:
             nxt, report = _quotient_step(cur, component, x, cfg)
+            nxt_forms = subrep_purity(nxt, forms)
+            if nxt_forms is None:
+                raise InternalConsistencyError("pulled-back step lost purity")
         steps.append(nxt)
         reports.append(report)
+        forms = nxt_forms
     return Filtration(rep, tuple(steps), tuple(reports))
 
 
@@ -298,6 +310,14 @@ def verify_filtration(filtration: Filtration,
     outside (n/d) * T_(i+1) + T_i.  The size check fails when a report
     records other quotient sizes, a bound below them, or (given the config)
     a bound that is not kappa * n^e.
+
+    Purity is walked up the chain, and each step carries the purity forms
+    the walk computed for the step below it, never forms the builder left.
+    A step that extends the step below by prefix builds its forms by
+    inserting its new generators into those (`subrep_purity`).  Any other
+    step builds its forms from scratch, and so does a step above one that
+    passed the summand certificate and built none.  The walk stops at the
+    first impure step, whose detail is the from-scratch `impurity`.
     """
     steps = filtration.steps
     conditions: dict[str, ConditionReport] = {}
@@ -307,7 +327,13 @@ def verify_filtration(filtration: Filtration,
     conditions["zero_base"] = ConditionReport(
         base_ok, "" if base_ok else "first step is not the zero subrepresentation")
 
-    bad = next((i for i, s in enumerate(steps) if not is_pure_subrep(s)), None)
+    bad = None
+    forms: Optional[_StepForms] = None
+    for i, step in enumerate(steps):
+        forms = subrep_purity(step, forms)
+        if forms is None:
+            bad = i
+            break
     conditions["purity"] = ConditionReport(
         bad is None, "" if bad is None else _impurity_detail(steps[bad], bad))
 

@@ -28,6 +28,7 @@ from .exact_linalg import (
     graph_kernel,
     graph_solution,
     howell_form,
+    howell_insert,
     smith_normal_form,
     solution_space_mod,
     solve_mod,
@@ -430,6 +431,16 @@ class Submodule:
     def full(cls, ambient: FiniteModule) -> "Submodule":
         return cls(ambient, tuple(ambient.generator(j) for j in range(ambient.rank)))
 
+    @classmethod
+    def _reduced(cls, ambient: FiniteModule,
+                 generators: tuple[tuple[int, ...], ...]) -> "Submodule":
+        """A submodule whose generators are already reduced: skips the
+        constructor's reduction, so it is for internal results only."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient", ambient)
+        object.__setattr__(sub, "generators", generators)
+        return sub
+
     @cached_property
     def howell(self) -> HowellForm:
         amb = self.ambient
@@ -454,7 +465,15 @@ class Submodule:
         return all(g in own or self.contains(g) for g in other.generators)
 
     def join(self, extra: Iterable[Sequence[int]]) -> "Submodule":
-        return Submodule(self.ambient, self.generators + tuple(tuple(g) for g in extra))
+        """self with the generators extra appended.  Only they are reduced,
+        and the Howell basis is self's with their scaled images inserted
+        (`howell_insert`), the same basis as one built from all of them."""
+        amb = self.ambient
+        added = tuple(amb.reduce(g) for g in extra)
+        sub = Submodule._reduced(amb, self.generators + added)
+        object.__setattr__(sub, "howell", howell_insert(
+            self.howell, [_scaled(amb, g) for g in added]))
+        return sub
 
     def image_under(self, f: ModuleMorphism) -> "Submodule":
         if f.source != self.ambient:
@@ -1004,27 +1023,63 @@ def _proper_prime_powers(n: int) -> tuple[int, ...]:
     return tuple(sorted(p ** k for p, e in factorize(n) for k in range(1, e)))
 
 
-def _impure_order(sub: Submodule) -> Optional[int]:
-    """The lowest proper prime power d of n with S meet d*M != d*S, or None
-    when S is pure; decided from sizes as `is_pure_submodule` describes."""
+@dataclass(frozen=True)
+class PurityForms:
+    """What the purity test of S read (`purity_forms`): for each proper
+    prime power d it reached, the Howell forms of the image of S in M/d*M
+    and of d*S, and the lowest d at which S is not pure, or None.  The
+    forms are empty when S passed the summand certificate."""
+
+    sub: Submodule
+    forms: dict[int, tuple[HowellForm, HowellForm]]
+    impure_at: Optional[int]
+
+
+def purity_forms(sub: Submodule, below: Optional[PurityForms] = None) -> PurityForms:
+    """The lowest proper prime power d of n with S meet d*M != d*S, decided
+    from sizes as `is_pure_submodule` describes, with the forms it read.
+
+    Both forms at d are linear images of S, of the rows
+    v -> (d_i / gcd(d, d_i)) v_i and v -> d v of any generating set.  So
+    when `below` holds the forms at d of a submodule whose generators are a
+    prefix of S's, each form of S is below's with the images of S's other
+    generators inserted (`howell_insert`).  Any other d, and any other
+    `below`, builds its forms from S's Howell rows.  A chain walk hands
+    each step the forms of the step below and keeps no others.  Where the
+    image has S's size, S meets d*M in zero, so d*S is zero: its form is
+    known without building one."""
     amb = sub.ambient
     n = amb.ring.modulus
     t = amb.rank
     factors = amb.invariant_factors
     hs = sub.howell
     if all(row[j] == n // factors[j] for row, j in zip(hs.rows, hs.pivots)):
-        return None
+        return PurityForms(sub, {}, None)
+    added = None
+    if below is not None and below.forms and below.sub.ambient == amb:
+        prefix = below.sub.generators
+        if sub.generators[:len(prefix)] == prefix:
+            added = [_scaled(amb, g) for g in sub.generators[len(prefix):]]
     card = hs.cardinality
+    forms: dict[int, tuple[HowellForm, HowellForm]] = {}
     for d in _proper_prime_powers(n):
         kill = [dd // gcd(d, dd) for dd in factors]
-        image = howell_form([[k * x for k, x in zip(kill, row)] for row in hs.rows],
-                            n, t).cardinality
-        if image == card:
-            continue  # S meet d*M is zero, and so is d*S
-        if image * howell_form([[d * x for x in row] for row in hs.rows],
-                               n, t).cardinality != card:
-            return d
-    return None
+        prior = None if added is None else below.forms.get(d)
+        if prior is None:
+            image = howell_form([[k * x for k, x in zip(kill, row)] for row in hs.rows], n, t)
+        else:
+            image = howell_insert(prior[0], [[k * x for k, x in zip(kill, row)]
+                                             for row in added])
+        if image.cardinality == card:
+            dsub = HowellForm(n, t, (), ())
+        elif prior is None:
+            dsub = howell_form([[d * x for x in row] for row in hs.rows], n, t)
+        else:
+            dsub = howell_insert(prior[1], [[d * x for x in row] for row in added])
+        forms[d] = (image, dsub)
+        if image.cardinality * dsub.cardinality != card:
+            return PurityForms(sub, forms, d)
+    return PurityForms(sub, forms, None)
 
 
 def is_pure_submodule(sub: Submodule) -> bool:
@@ -1041,14 +1096,14 @@ def is_pure_submodule(sub: Submodule) -> bool:
     two Howell forms of width t.  The tests and the suite cross-check this
     over every divisor (enumeration, witness search, `is_direct_summand`).
     """
-    return _impure_order(sub) is None
+    return purity_forms(sub).impure_at is None
 
 
 def impurity(sub: Submodule) -> Optional[tuple[int, tuple[int, ...]]]:
     """Why S is not pure: the lowest proper prime power d of n at which it
     fails and the lexicographically lowest witness s in (S meet d*M) \\ d*S,
     or None when S is pure."""
-    d = _impure_order(sub)
+    d = purity_forms(sub).impure_at
     if d is None:
         return None
     s = _purification_witness(sub, d)

@@ -32,6 +32,7 @@ FORMAT_VERSION = 1
 _NAME = re.compile(r"^[A-Za-z0-9_.:-]+$")
 _HEADER = re.compile(r"^\[([a-z]+)(?:\s+([^\]]+))?\]\s*(.*)$")
 _DECIMAL = re.compile(r"-?[0-9]+")
+_DECIMAL_LIST = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
 @dataclass
@@ -138,8 +139,16 @@ def _int(text: Optional[str], what: str, lineno: int) -> int:
 
 
 def _ints(text: str, what: str, lineno: int) -> list[int]:
+    """A comma list of `_int` entries, matched as a whole; a list that does
+    not match, or holds an entry past the digit limit, goes entry by entry,
+    so the first bad entry names the error."""
     if text == "":
         return []
+    if _DECIMAL_LIST.fullmatch(text):
+        try:
+            return list(map(int, text.split(",")))
+        except ValueError:
+            pass
     return [_int(x, what, lineno) for x in text.split(",")]
 
 
@@ -333,8 +342,9 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
     Each [step i] is checked to be a subrepresentation of the target as it
     is read: through `SubRep.extending` against step i-1 when that record
     came earlier, so a step that re-lists the generators of the one below
-    it has f applied only to the first-component generators it adds, and
-    through the full `SubRep` check otherwise.  Errors carry the line."""
+    it reduces, inserts into the Howell bases and applies f to only the
+    generators it adds, and through the full `SubRep` check otherwise.
+    Errors carry the line."""
     object_lines = []
     chain_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -373,10 +383,11 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
                 raise InputError(f"line {lineno}: duplicate [step {idx}] record")
             prev = steps.get(idx - 1)
             try:
-                s1 = Submodule(target.m1, tuple(_vectors(fields["s1"], lineno)))
-                s2 = Submodule(target.m2, tuple(_vectors(fields["s2"], lineno)))
-                steps[idx] = (SubRep(target, s1, s2) if prev is None
-                              else SubRep.extending(prev, s1, s2))
+                gens1 = _vectors(fields["s1"], lineno)
+                gens2 = _vectors(fields["s2"], lineno)
+                steps[idx] = (SubRep(target, Submodule(target.m1, tuple(gens1)),
+                                     Submodule(target.m2, tuple(gens2)))
+                              if prev is None else SubRep.extending(prev, gens1, gens2))
             except InputError as exc:
                 raise InputError(f"line {lineno}: {exc}") from None
         elif kind == "stepreport":

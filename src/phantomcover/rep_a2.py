@@ -7,7 +7,7 @@ the split extension showing ideal classes are not closed under extensions.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InputError, InternalConsistencyError
 from .exact_linalg import howell_form
@@ -15,6 +15,7 @@ from .finmod import (
     Diagram,
     FiniteModule,
     ModuleMorphism,
+    PurityForms,
     QuotientData,
     Ring,
     Submodule,
@@ -22,7 +23,7 @@ from .finmod import (
     compose,
     direct_sum,
     directed_colimit,
-    is_pure_submodule,
+    purity_forms,
     quotient_by,
     slice_generators,
     solve_left_factor,
@@ -114,16 +115,24 @@ class SubRep:
                 raise InputError("f does not carry the first component into the second")
 
     @classmethod
-    def extending(cls, prev: "SubRep", s1: Submodule, s2: Submodule) -> "SubRep":
-        """The subrepresentation (s1, s2) of prev's representation, checked
-        step-wise against prev.  When prev's generator tuples are prefixes
-        of s1's and s2's, f is applied only to the generators of s1 beyond
-        prev's: the older ones map into prev.s2, which lies in s2.  Any other
-        pair goes through the full check.  The ambients are checked either
-        way, and the errors are the constructor's."""
+    def extending(cls, prev: "SubRep", gens1: Sequence[tuple[int, ...]],
+                  gens2: Sequence[tuple[int, ...]]) -> "SubRep":
+        """The subrepresentation of prev's representation generated by gens1
+        in m1 and gens2 in m2, checked step-wise against prev.  When prev's
+        generator tuples are prefixes of gens1 and gens2, each component is
+        prev's joined with the generators beyond (`Submodule.join`): only
+        those are reduced, the Howell basis is prev's with them inserted,
+        and f is applied only to those of gens1, since the older ones map
+        into prev.s2, which lies in s2.  Any other pair, a prefix listed
+        unreduced included, is built and checked from scratch.  The errors
+        are the constructor's."""
         g1, g2 = prev.s1.generators, prev.s2.generators
-        prefix = s1.generators[:len(g1)] == g1 and s2.generators[:len(g2)] == g2
-        return cls(prev.ambient, s1, s2, len(g1) if prefix else 0)
+        gens1, gens2 = tuple(gens1), tuple(gens2)
+        rep = prev.ambient
+        if gens1[:len(g1)] == g1 and gens2[:len(g2)] == g2:
+            return cls(rep, prev.s1.join(gens1[len(g1):]),
+                       prev.s2.join(gens2[len(g2):]), len(g1))
+        return cls(rep, Submodule(rep.m1, gens1), Submodule(rep.m2, gens2))
 
     @classmethod
     def zero(cls, rep: RepA2) -> "SubRep":
@@ -153,8 +162,21 @@ def in_ideal_class(ideal: MorphismIdeal, rep: RepA2) -> bool:
     return ideal_membership(ideal, rep.f)
 
 
+def subrep_purity(sub: SubRep, below: Optional[tuple[PurityForms, PurityForms]] = None
+                  ) -> Optional[tuple[PurityForms, PurityForms]]:
+    """The purity forms of sub's components (`purity_forms`), each built by
+    insertion into below's where sub's component extends the one below's
+    forms were read from; None when sub is not pure.  The second component
+    is tested only when the first is pure."""
+    p1 = purity_forms(sub.s1, None if below is None else below[0])
+    if p1.impure_at is not None:
+        return None
+    p2 = purity_forms(sub.s2, None if below is None else below[1])
+    return None if p2.impure_at is not None else (p1, p2)
+
+
 def is_pure_subrep(sub: SubRep) -> bool:
-    return is_pure_submodule(sub.s1) and is_pure_submodule(sub.s2)
+    return subrep_purity(sub) is not None
 
 
 def restrict_rep(sub: SubRep) -> tuple[RepA2, RepMorphism]:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import re
 import subprocess
@@ -700,3 +701,27 @@ def test_mutated_inputs_keep_the_exit_code_contract(mutation_sources, data):
         code = main([argv[0], "--input", str(path), *argv[1:]])
     assert code in (0, 1, 2), err.getvalue()
     assert "error=unexpected" not in err.getvalue()
+
+
+LADDER_24 = Path(__file__).parent / "data" / "ladder_n8_k24.txt"
+
+
+def test_ladder_filtration_bytes_are_pinned(capsys, tmp_path):
+    # the rank-24 ladder (perfbench's filtrate_instance(1, 8, 24, 3)):
+    # filtrate writes the same file and prints the same records, and
+    # verify-filtration the same lines, as when the digests were taken
+    pinned = {}
+    for line in (LADDER_24.parent / "ladder_n8_k24.sha256").read_text().splitlines():
+        digest, name = line.split()
+        pinned[name] = digest
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    out = tmp_path / "ladder_n8_k24.filt"
+    assert main(["filtrate", "--input", str(LADDER_24), "--rep", "F", "--kappa", "8",
+                 "--output", str(out)]) == 0
+    assert sha(capsys.readouterr().out.encode()) == pinned["ladder_n8_k24.filtrate.out"]
+    assert sha(out.read_bytes()) == pinned["ladder_n8_k24.filt"]
+    assert main(["verify-filtration", "--input", str(out)]) == 0
+    assert sha(capsys.readouterr().out.encode()) == pinned["ladder_n8_k24.verify.out"]

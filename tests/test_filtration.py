@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import phantom_morphisms, rings
-from phantomcover import filtration, rep_a2
+from phantomcover import filtration, manifest, rep_a2
+from phantomcover.exact_linalg import howell_form
 from phantomcover.errors import InputError
 from phantomcover.filtration import (
     Filtration,
@@ -18,6 +21,7 @@ from phantomcover.finmod import (
     ModuleMorphism,
     Ring,
     Submodule,
+    _scaled,
     is_automorphism,
     same_subgroup,
     slice_generators,
@@ -32,6 +36,7 @@ from phantomcover.rep_a2 import (
     is_pure_subrep,
     rep_colimit,
     restrict_rep,
+    subrep_purity,
 )
 from phantomcover.samplers import random_phantom_rep
 
@@ -391,3 +396,125 @@ def test_build_filtration_checks_each_generator_once(monkeypatch):
     distinct = list(dict.fromkeys(below))
     assert applied == distinct + list(filt.steps[-1].s1.generators)
     assert len(applied) == 16 < len(below) + 8
+
+
+LADDER_24 = Path(__file__).parent / "data" / "ladder_n8_k24.txt"
+
+
+def _ladder_24():
+    """The rank-24 ladder instance (n = 8), with the manifest it came from."""
+    man = manifest.parse(LADDER_24.read_text(encoding="utf-8"))
+    return man, man.reps["F"]
+
+
+def _record_purity(monkeypatch):
+    """Wrap the walks' `subrep_purity` so that each (step, below, result)
+    is recorded."""
+    seen = []
+
+    def recording(step, below=None):
+        result = subrep_purity(step, below)
+        seen.append((step, below, result))
+        return result
+
+    monkeypatch.setattr(filtration, "subrep_purity", recording)
+    return seen
+
+
+def _scratch_howell(sub):
+    amb = sub.ambient
+    return howell_form([_scaled(amb, g) for g in sub.generators],
+                       amb.ring.modulus, amb.rank)
+
+
+def _assert_carried_forms_match_scratch(seen):
+    """Every purity result a walk computed equals the one computed with no
+    step below; returns how many were read off forms of the step below."""
+    inserted = 0
+    for step, below, result in seen:
+        assert result == subrep_purity(step)
+        if below is not None and result is not None:
+            prefix = below[1].sub.generators
+            if below[1].forms and step.s2.generators[:len(prefix)] == prefix:
+                inserted += 1
+    return inserted
+
+
+def test_ladder_chain_forms_match_forms_from_scratch(monkeypatch):
+    # every Howell basis of a built or parsed step, and every purity form a
+    # builder or verifier walk carries, equals the form built from all of
+    # the step's generators
+    man, rep = _ladder_24()
+    cfg = FiltrationConfig(kappa=8)
+    seen = _record_purity(monkeypatch)
+    built = build_filtration(rep, cfg)
+    assert _assert_carried_forms_match_scratch(seen) >= 20
+    _, parsed, _ = manifest.parse_filtration(manifest.serialize_filtration(man, built, cfg))
+    assert parsed.steps == built.steps
+    for step in built.steps + parsed.steps:
+        for sub in (step.s1, step.s2):
+            assert sub.howell == _scratch_howell(sub)
+    del seen[:]
+    assert verify_filtration(parsed, cfg).ok
+    assert [step for step, _, _ in seen] == list(parsed.steps)
+    assert _assert_carried_forms_match_scratch(seen) >= 20
+
+
+def test_verify_filtration_carried_forms_fall_back(monkeypatch):
+    _, rep = _ladder_24()
+    cfg = FiltrationConfig(kappa=8)
+    filt = build_filtration(rep, cfg)
+    expected = verify_filtration(filt, cfg).lines()
+    seen = _record_purity(monkeypatch)
+    # step 5 with its generators reversed: the same subgroups, so the same
+    # verdict, but neither step 5 nor step 6 extends the step below by
+    # prefix, and both build their forms from scratch
+    steps = list(filt.steps)
+    five = steps[5]
+    steps[5] = SubRep(rep, Submodule(rep.m1, five.s1.generators[::-1]),
+                      Submodule(rep.m2, five.s2.generators[::-1]))
+    reordered = Filtration(rep, tuple(steps), filt.reports)
+    assert verify_filtration(reordered, cfg).lines() == expected
+    _assert_carried_forms_match_scratch(seen)
+    # step 10 with 2 * e_3 adjoined in the second component: impure at
+    # d = 2, found from the forms of step 9, with the detail a from-scratch
+    # test gives
+    del seen[:]
+    steps = list(filt.steps)
+    ten = steps[10]
+    steps[10] = SubRep(rep, ten.s1, Submodule(
+        rep.m2, ten.s2.generators + (rep.m2.smul(2, rep.m2.generator(3)),)))
+    impure = Filtration(rep, tuple(steps), filt.reports)
+    assert verify_filtration(impure, cfg).conditions["purity"].detail == (
+        "impure step at index 10: s2 fails at d=2, "
+        "witness (0,0,0,0,0,0,0,2,2,0,0,0,0,0,2,0,0,2,0,0,2,0,0,2,0)")
+    step, below, result = seen[-1]
+    assert step is steps[10] and result is None and below[1].forms
+    _assert_carried_forms_match_scratch(seen)
+
+
+def test_verify_filtration_after_a_certificate_step(monkeypatch):
+    # in M2 = Z/2 + Z/4 + Z/4 over Z/4, <(0, 1, 0)> passes the summand
+    # certificate and builds no purity form, so the step above it builds
+    # its own: <(0, 1, 0), (1, 0, 1)> is pure by sizes, and
+    # <(0, 1, 0), (0, 0, 2)> fails at d = 2
+    ring = Ring(4)
+    zero, m2 = FiniteModule.zero(ring), mod(ring, 2, 4, 4)
+    rep = RepA2(zero, m2, ModuleMorphism.zero_map(zero, m2))
+    cfg = FiltrationConfig(kappa=4)
+
+    def step(*gens):
+        return SubRep(rep, Submodule.zero(zero), Submodule(m2, gens))
+
+    seen = _record_purity(monkeypatch)
+    certified = step((0, 1, 0))
+    for top, ok, detail in (((1, 0, 1), True, ""),
+                            ((0, 0, 2), False,
+                             "impure step at index 2: s2 fails at d=2, witness (0,0,2)")):
+        del seen[:]
+        chain = (SubRep.zero(rep), certified, step((0, 1, 0), top), SubRep.full(rep))
+        report = verify_filtration(Filtration(rep, chain, ()), cfg)
+        assert report.conditions["purity"] == filtration.ConditionReport(ok, detail)
+        assert seen[1][2][1].forms == {}
+        assert seen[2][1] is seen[1][2]
+        _assert_carried_forms_match_scratch(seen)

@@ -7,7 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import elements, modules, morphisms, rings, submodules
-from phantomcover.exact_linalg import howell_form
+from phantomcover.exact_linalg import howell_form, howell_insert
 from phantomcover.filtration import _fresh_element, _lowest_preimage
 from phantomcover.finmod import (
     FiniteModule,
@@ -43,6 +43,63 @@ def modules_with_submodule(draw, max_card=64):
     sub = draw(submodules(m))
     c = draw(st.one_of(st.just(1), st.sampled_from(m.ring.divisors())))
     return m, Submodule(m, tuple(m.smul(c, g) for g in sub.generators))
+
+
+INSERT_MODULI = (2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 36, 72, 100)
+
+
+@st.composite
+def insertions(draw):
+    """(n, width, base rows, added rows): the added rows mix fresh rows with
+    zero rows, repeats, members of the span and scaled rows."""
+    n = draw(st.sampled_from(INSERT_MODULI))
+    width = draw(st.integers(0, 8))
+    entry = st.one_of(st.integers(-n, 2 * n - 1), st.sampled_from(Ring(n).divisors()),
+                      st.just(0))
+    row = st.lists(entry, min_size=width, max_size=width)
+    base = draw(st.lists(row, max_size=6))
+    added = draw(st.lists(row, max_size=4))
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "member", "scaled")),
+                              max_size=4)):
+        if kind == "zero":
+            added.append([0] * width)
+        elif kind == "repeat" and added:
+            added.append(list(draw(st.sampled_from(added))))
+        elif kind == "member" and base:
+            coeffs = draw(st.lists(st.integers(0, n - 1), min_size=len(base),
+                                   max_size=len(base)))
+            added.append([sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(width)])
+        elif kind == "scaled" and base + added:
+            c = draw(st.sampled_from(Ring(n).divisors()))
+            added.append([c * x for x in draw(st.sampled_from(base + added))])
+    order = draw(st.permutations(range(len(added))))
+    return n, width, base, [added[i] for i in order]
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(insertions())
+def test_howell_insert_matches_howell_form(case):
+    n, width, base, added = case
+    form = howell_form(base, n, width)
+    whole = howell_form(base + added, n, width)
+    assert howell_insert(form, added) == whole
+    # one row at a time, as a chain of steps inserts them
+    for row in added:
+        form = howell_insert(form, [row])
+    assert form == whole
+    # rows already in the span leave the form as it is
+    assert howell_insert(whole, base + added) is whole
+
+
+def test_howell_insert_example():
+    # <(2, 1)> in (Z/4)^2 is <(2, 1), (0, 2)>; inserting (0, 1) changes the
+    # lead at column 1 from 2 to 1, which reduces the entry above it
+    form = howell_form([[2, 1]], 4, 2)
+    grown = howell_insert(form, [[0, 1]])
+    assert grown.rows == ((2, 0), (0, 1)) and grown.pivots == (0, 1)
+    assert grown == howell_form([[2, 1], [0, 1]], 4, 2)
+    assert howell_insert(form, [[0, 2], [2, 3]]) is form
 
 
 def test_howell_form_example():

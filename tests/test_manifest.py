@@ -128,3 +128,33 @@ def test_filtration_steps_parse_in_any_record_order():
         for i, j in zip(at, order):
             shuffled[i] = lines[j]
         assert parse_filtration("\n".join(shuffled) + "\n")[1] == filt
+
+
+_HEAD = "[manifest] version=1\n[ring] n=8\n[module M] factors=8,8\n"
+_CHAIN = ("[morphism f] from=M to=M rows=1,0;0,1\n[rep F] f=f\n"
+          "[filtration] target=F kappa=8\n[step 0] s1= s2=\n")
+
+
+@pytest.mark.parametrize("entry, shown", [
+    ("+8", " '+8'"),
+    ("1_0", " '1_0'"),
+    ("٣", " '٣'"),
+    ("1,,2", " ''"),
+    ("9" * 5000, ": 5000 digits is past the integer conversion limit"),
+])
+def test_integer_list_errors_name_the_first_bad_entry(entry, shown):
+    # a list is matched as a whole; one that does not match goes entry by
+    # entry, so the message names the entry, as it always has.  Only the
+    # tail of a [step] error is checked: its line prefix is doubled (see
+    # the FOUND line on parse_filtration in CHANGES.md).
+    with pytest.raises(InputError) as exc:
+        parse(_HEAD + f"[morphism f] from=M to=M rows=1,0;0,{entry}\n")
+    assert str(exc.value) == f"line 4: malformed vector{shown}"
+    with pytest.raises(InputError) as exc:
+        parse_filtration(_HEAD + _CHAIN + f"[step 1] s1=1,0;0,{entry} s2=1,0;0,1\n")
+    assert str(exc.value).endswith(f"line 8: malformed vector{shown}")
+
+
+def test_integer_lists_parse_as_before():
+    man = parse(_HEAD + "[morphism f] from=M to=M rows=-0,007;0,-9\n")
+    assert man.morphisms["f"].matrix == ((0, 7), (0, 7))

@@ -91,25 +91,31 @@ def test_subrep_extending_checks_only_new_generators(monkeypatch):
         return real(self, x)
 
     monkeypatch.setattr(ModuleMorphism, "apply", recording)
-    grown = SubRep.extending(prev, Submodule(m, ((2,), (4,))), Submodule(m, ((2,), (1,))))
+    grown = SubRep.extending(prev, ((2,), (4,)), ((2,), (1,)))
     assert applied == [(4,)]
     assert grown == SubRep(rep, grown.s1, grown.s2)
     # the second new generator escapes <2>, whatever the first does
     with pytest.raises(InputError, match="does not carry"):
-        SubRep.extending(prev, Submodule(m, ((2,), (4,), (1,))), Submodule(m, ((2,),)))
+        SubRep.extending(prev, ((2,), (4,), (1,)), ((2,),))
     # not a prefix in the second component: the old generator 2 escapes <4>
     del applied[:]
     with pytest.raises(InputError, match="does not carry"):
-        SubRep.extending(prev, Submodule(m, ((2,),)), Submodule(m, ((4,),)))
+        SubRep.extending(prev, ((2,),), ((4,),))
     assert applied == [(2,)]
     # not a prefix in the first component: every generator is checked
     del applied[:]
-    SubRep.extending(prev, Submodule(m, ((4,), (2,))), Submodule(m, ((2,),)))
+    SubRep.extending(prev, ((4,), (2,)), ((2,),))
     assert applied == [(4,), (2,)]
-    # the ambients are checked on the prefix route too
-    other = mod(z8, 2, 8)
+    # an unreduced prefix is not a prefix: 10 is 2 in Z/8, but checked again
+    del applied[:]
+    SubRep.extending(prev, ((10,), (4,)), ((2,),))
+    assert applied == [(2,), (4,)]
+    # the generators are read in prev's ambients on the prefix route too
+    with pytest.raises(InputError, match="coordinate count"):
+        SubRep.extending(SubRep.zero(rep), ((1, 0),), ())
+    # and the constructor checks the components' ambients
     with pytest.raises(InputError, match="wrong modules"):
-        SubRep.extending(SubRep.zero(rep), Submodule.zero(other), Submodule.zero(m))
+        SubRep(rep, Submodule.zero(mod(z8, 2, 8)), Submodule.zero(m))
 
 
 def test_contains_submodule_needs_one_ambient():
