@@ -26,7 +26,6 @@ from .finmod import (
     direct_sum,
     directed_colimit,
     hom_group,
-    is_direct_summand,
     is_projective,
     is_pure_submodule,
     kernel,

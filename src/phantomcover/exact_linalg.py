@@ -49,10 +49,6 @@ class IntMatrix:
     def identity(cls, k: int) -> "IntMatrix":
         return cls(k, k, tuple(1 if i == j else 0 for i in range(k) for j in range(k)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -537,27 +533,3 @@ def solution_space_mod(a: IntMatrix, n: int) -> list[list[int]]:
             raise InternalConsistencyError("kernel generator fails annihilation check")
     return gens
 
-
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise InputError("determinant: matrix must be square")
-    k = a.rows
-    if k == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for t in range(k - 1):
-        if m[t][t] == 0:
-            swap = next((i for i in range(t + 1, k) if m[i][t] != 0), None)
-            if swap is None:
-                return 0
-            m[t], m[swap] = m[swap], m[t]
-            sign = -sign
-        for i in range(t + 1, k):
-            for j in range(t + 1, k):
-                m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
-            m[i][t] = 0
-        prev = m[t][t]
-    return sign * m[k - 1][k - 1]

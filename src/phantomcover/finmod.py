@@ -1,5 +1,5 @@
 """Finite Z/n-modules: objects, morphisms, homs, (co)kernels, pushouts,
-finite directed colimits, projectivity, purity and summand tests.
+finite directed colimits, projectivity and purity.
 
 A module is kept in canonical invariant-factor form d1 | d2 | ... | dk with
 every di dividing the ring modulus, so isomorphism testing is list equality.
@@ -30,8 +30,6 @@ from .exact_linalg import (
     howell_form,
     howell_insert,
     smith_normal_form,
-    solution_space_mod,
-    solve_mod,
 )
 
 
@@ -214,9 +212,6 @@ class FiniteModule:
             raise InputError("element has wrong coordinate count")
         return tuple(int(x) % d for x, d in zip(vec, self.invariant_factors))
 
-    def zero_element(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
     def add(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.invariant_factors))
 
@@ -383,17 +378,6 @@ def _element_system(n: int, moduli: Sequence[int], columns: Sequence[Sequence[in
     return IntMatrix.from_rows(rows, cols=len(columns)), b
 
 
-def element_preimage(f: ModuleMorphism, y: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """The lexicographically lowest x with f(x) == y, or None."""
-    y = f.target.reduce(y)
-    cols = [f.column(j) for j in range(f.source.rank)]
-    n = f.source.ring.modulus
-    sol = solve_mod(*_element_system(n, f.target.invariant_factors, cols, y), n)
-    if sol is None:
-        return None
-    return f.source.reduce(sol)
-
-
 def _scaled(mod: FiniteModule, x: Sequence[int]) -> tuple[int, ...]:
     """x in (Z/n)^t through x_i -> (n/d_i) x_i, for x reduced: an injective
     map that keeps the lexicographic order of elements."""
@@ -474,11 +458,6 @@ class Submodule:
         object.__setattr__(sub, "howell", howell_insert(
             self.howell, [_scaled(amb, g) for g in added]))
         return sub
-
-    def image_under(self, f: ModuleMorphism) -> "Submodule":
-        if f.source != self.ambient:
-            raise InputError("image_under: morphism source must be the ambient module")
-        return Submodule(f.target, tuple(f.apply(g) for g in self.generators))
 
     @property
     def cardinality(self) -> int:
@@ -580,8 +559,12 @@ class QuotientData:
     projection: ModuleMorphism
     lifts: tuple[tuple[int, ...], ...]
 
-    def lift_element(self, k: int) -> tuple[int, ...]:
-        return self.projection.source.reduce(self.lifts[k])
+    def induced(self, c: ModuleMorphism) -> ModuleMorphism:
+        """The morphism out of the quotient induced by c, a morphism out of
+        the ambient module that kills the subgroup: canonical generator k
+        goes to c of its lift, the same for any lift."""
+        return ModuleMorphism.from_columns(self.module, c.target,
+                                           [c.apply(lift) for lift in self.lifts])
 
     def lift(self, y: Sequence[int]) -> tuple[int, ...]:
         """Some element of the ambient module projecting to y: sum(y_k * lift_k)."""
@@ -663,17 +646,10 @@ def subgroup_presentation(sub: Submodule) -> tuple[FiniteModule, ModuleMorphism]
 @lru_cache(maxsize=None)
 def kernel(f: ModuleMorphism) -> tuple[FiniteModule, ModuleMorphism]:
     """Kernel in canonical form with an injective embedding into the source:
-    the solution group of f's scaled congruences, presented by its Howell basis."""
-    src = f.source
-    n = src.ring.modulus
-    cols = [f.column(j) for j in range(src.rank)]
-    a, _ = _element_system(n, f.target.invariant_factors, cols, (0,) * f.target.rank)
-    return subgroup_presentation(Submodule(src, tuple(solution_space_mod(a, n))))
-
-
-def kernel_submodule(f: ModuleMorphism) -> Submodule:
-    k, emb = kernel(f)
-    return Submodule(f.source, tuple(emb.column(j) for j in range(k.rank)))
+    the kernel columns of f at order n (`_kernel_column_gens`), presented
+    by their subgroup alone."""
+    return subgroup_presentation(Submodule._reduced(
+        f.source, tuple(_kernel_column_gens(f, f.source.ring.modulus))))
 
 
 def image_submodule(f: ModuleMorphism) -> Submodule:
@@ -814,6 +790,15 @@ class DirectSum:
     injections: tuple[ModuleMorphism, ...]
     projections: tuple[ModuleMorphism, ...]
 
+    def copair(self, legs: Sequence[ModuleMorphism]) -> ModuleMorphism:
+        """The morphism out of the sum that is legs[i] on summand i: the sum
+        of each leg after its projection."""
+        c = None
+        for leg, proj in zip(legs, self.projections, strict=True):
+            term = compose(leg, proj)
+            c = term if c is None else c + term
+        return c
+
 
 def direct_sum(summands: Sequence[FiniteModule]) -> DirectSum:
     """Canonical biproduct with injections and projections."""
@@ -824,11 +809,8 @@ def direct_sum(summands: Sequence[FiniteModule]) -> DirectSum:
         raise InputError("direct_sum: ring mismatch")
     concat = [d for m in summands for d in m.invariant_factors]
     total = len(concat)
-    structure = _monomial_structure([[d] for d in concat])
-    if structure is None:
-        structure = _smith_structure(total, [[d if i == j else 0 for i in range(total)]
-                                             for j, d in enumerate(concat)])
-    factors, proj_rows, lift_cols = structure
+    factors, proj_rows, lift_cols = _quotient_structure(
+        total, [[d if i == j else 0 for i in range(total)] for j, d in enumerate(concat)])
     module = FiniteModule(ring, factors)
     injections = []
     projections = []
@@ -875,9 +857,7 @@ def pushout_mediating(po: Pushout, a: ModuleMorphism, b: ModuleMorphism) -> Modu
         raise InputError("pushout_mediating: cone legs have wrong endpoints")
     if compose(a, po.v) != compose(b, po.u):
         raise InputError("pushout_mediating: cone does not commute")
-    c = compose(a, po._sum.projections[0]) + compose(b, po._sum.projections[1])
-    cols = [c.apply(po._quotient.lift_element(k)) for k in range(po.module.rank)]
-    m = ModuleMorphism.from_columns(po.module, a.target, cols)
+    m = po._quotient.induced(po._sum.copair((a, b)))
     if compose(m, po.u_prime) != a or compose(m, po.v_prime) != b:
         raise InternalConsistencyError("mediating morphism failed its equations")
     return m
@@ -982,13 +962,7 @@ def colimit_mediating(colim: Colimit, cone: dict[str, ModuleMorphism]) -> Module
     targets = {f.target for f in cone.values()}
     if len(targets) != 1:
         raise InputError("colimit_mediating: cone legs must share a target")
-    target = next(iter(targets))
-    c = None
-    for idx, nm in enumerate(colim._order):
-        leg = compose(cone[nm], colim._sum.projections[idx])
-        c = leg if c is None else c + leg
-    cols = [c.apply(colim._quotient.lift_element(k)) for k in range(colim.module.rank)]
-    m = ModuleMorphism.from_columns(colim.module, target, cols)
+    m = colim._quotient.induced(colim._sum.copair([cone[nm] for nm in colim._order]))
     for nm in colim._order:
         if compose(m, colim.structural[nm]) != cone[nm]:
             raise InputError("colimit_mediating: cone does not commute with the diagram")
@@ -996,7 +970,7 @@ def colimit_mediating(colim: Colimit, cone: dict[str, ModuleMorphism]) -> Module
 
 
 # ---------------------------------------------------------------------------
-# projectivity, purity, summands
+# projectivity, purity
 # ---------------------------------------------------------------------------
 
 def is_projective(m: FiniteModule) -> bool:
@@ -1094,7 +1068,8 @@ def is_pure_submodule(sub: Submodule) -> bool:
     d*M is the kernel on S of M -> M/d*M, v_i -> (d_i / gcd(d, d_i)) v_i,
     and contains d*S: S is pure at d iff |S| = |image in M/d*M| * |d*S|,
     two Howell forms of width t.  The tests and the suite cross-check this
-    over every divisor (enumeration, witness search, `is_direct_summand`).
+    over every divisor (enumeration, witness search,
+    `oracles.is_direct_summand`).
     """
     return purity_forms(sub).impure_at is None
 
@@ -1110,38 +1085,6 @@ def impurity(sub: Submodule) -> Optional[tuple[int, tuple[int, ...]]]:
     if s is None:
         raise InternalConsistencyError("purity sizes differ but no witness was found")
     return d, s
-
-
-def is_direct_summand(sub: Submodule) -> Optional[ModuleMorphism]:
-    """A retraction r with r o embedding == id onto the canonical presentation
-    of the submodule, or None.  Rows of r are solved independently."""
-    amb = sub.ambient
-    k, emb = subgroup_presentation(sub)
-    if k.rank == 0:
-        return ModuleMorphism.zero_map(amb, k)
-    n = amb.ring.modulus
-    t = amb.rank
-    # unknown q is entry q of a row of r: r o emb == id on that row, and
-    # the row kills d_q * e_q
-    cols = [emb.matrix[q] + tuple(dq if qq == q else 0 for qq in range(t))
-            for q, dq in enumerate(amb.invariant_factors)]
-    rows_out = []
-    for i, ki in enumerate(k.invariant_factors):
-        rhs = [1 if l == i else 0 for l in range(k.rank)] + [0] * t
-        sol = solve_mod(*_element_system(n, [ki] * (k.rank + t), cols, rhs), n)
-        if sol is None:
-            return None
-        rows_out.append(sol)
-    r = ModuleMorphism(amb, k, tuple(tuple(row) for row in rows_out))
-    if compose(r, emb) != ModuleMorphism.identity(k):
-        raise InternalConsistencyError("retraction failed its defining equation")
-    return r
-
-
-def multiplication_map(m: FiniteModule, d: int) -> ModuleMorphism:
-    """Multiplication by the scalar d as an endomorphism."""
-    return ModuleMorphism(m, m, tuple(
-        tuple(d if i == j else 0 for j in range(m.rank)) for i in range(m.rank)))
 
 
 def pure_closure(sub: Submodule) -> Submodule:

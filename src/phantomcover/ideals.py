@@ -16,7 +16,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import InputError
-from .exact_linalg import solve_mod
+from .exact_linalg import howell_form
 from .finmod import (
     Colimit,
     Diagram,
@@ -160,12 +160,15 @@ def ideal_membership(ideal: MorphismIdeal, f: ModuleMorphism) -> bool:
 
 def _hom_subgroup_contains(span: list[ModuleMorphism], f: ModuleMorphism) -> bool:
     """Is f in the subgroup of Hom(source, target) generated by span?
-    Entry (i, j) is one congruence mod the target factor e_i."""
+    Entry (i, j) is one congruence mod the target factor e_i; scaled to
+    Z/n (`_element_system`), the span's matrices are the rows of one Howell
+    form, and f is in the subgroup exactly when the form contains it."""
     n = f.source.ring.modulus
     moduli = [ei for ei in f.target.invariant_factors for _ in range(f.source.rank)]
     cols = [[x for row in g.matrix for x in row] for g in span]
     rhs = [x for row in f.matrix for x in row]
-    return solve_mod(*_element_system(n, moduli, cols, rhs), n) is not None
+    a, b = _element_system(n, moduli, cols, rhs)
+    return howell_form([a.column(j) for j in range(a.cols)], n, a.rows).contains(b)
 
 
 @dataclass(frozen=True)

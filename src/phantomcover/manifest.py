@@ -59,19 +59,10 @@ class Manifest:
         return name
 
     def module_name(self, m: FiniteModule) -> Optional[str]:
-        for name, val in self.modules.items():
-            if val == m:
-                return name
-        return None
+        return _name_of(self.modules, m)
 
     def ensure_module(self, m: FiniteModule, hint: str = "m") -> str:
-        name = self.module_name(m)
-        if name is not None:
-            return name
-        idx = 0
-        while f"{hint}{idx}" in self.modules:
-            idx += 1
-        return self.add_module(f"{hint}{idx}", m)
+        return _ensure(self.modules, self.add_module, m, hint)
 
     def add_morphism(self, name: str, f: ModuleMorphism) -> str:
         self._check_name(name)
@@ -81,19 +72,10 @@ class Manifest:
         return name
 
     def morphism_name(self, f: ModuleMorphism) -> Optional[str]:
-        for name, val in self.morphisms.items():
-            if val == f:
-                return name
-        return None
+        return _name_of(self.morphisms, f)
 
     def ensure_morphism(self, f: ModuleMorphism, hint: str = "f") -> str:
-        name = self.morphism_name(f)
-        if name is not None:
-            return name
-        idx = 0
-        while f"{hint}{idx}" in self.morphisms:
-            idx += 1
-        return self.add_morphism(f"{hint}{idx}", f)
+        return _ensure(self.morphisms, self.add_morphism, f, hint)
 
     def add_rep(self, name: str, rep: RepA2) -> str:
         self._check_name(name)
@@ -102,19 +84,10 @@ class Manifest:
         return name
 
     def rep_name(self, rep: RepA2) -> Optional[str]:
-        for name, val in self.reps.items():
-            if val == rep:
-                return name
-        return None
+        return _name_of(self.reps, rep)
 
     def ensure_rep(self, rep: RepA2, hint: str = "rep") -> str:
-        name = self.rep_name(rep)
-        if name is not None:
-            return name
-        idx = 0
-        while f"{hint}{idx}" in self.reps:
-            idx += 1
-        return self.add_rep(f"{hint}{idx}", rep)
+        return _ensure(self.reps, self.add_rep, rep, hint)
 
     def add_repmap(self, name: str, rm: RepMorphism) -> str:
         self._check_name(name)
@@ -124,6 +97,31 @@ class Manifest:
         self.ensure_morphism(rm.s)
         self.repmaps[name] = rm
         return name
+
+
+def _name_of(table: dict, value) -> Optional[str]:
+    """The first name in table whose object equals value, or None."""
+    return next((name for name, val in table.items() if val == value), None)
+
+
+def _ensure(table: dict, add, value, hint: str) -> str:
+    """value's name in table, or the first free name hint0, hint1, ...
+    under which add registers it."""
+    name = _name_of(table, value)
+    if name is not None:
+        return name
+    idx = 0
+    while f"{hint}{idx}" in table:
+        idx += 1
+    return add(f"{hint}{idx}", value)
+
+
+def _at_line(exc: InputError, lineno: int) -> InputError:
+    """exc with its line named once: a message that already names the line
+    is kept as it is."""
+    if str(exc).startswith(f"line {lineno}:"):
+        return exc
+    return InputError(f"line {lineno}: {exc}")
 
 
 def _int(text: Optional[str], what: str, lineno: int) -> int:
@@ -273,9 +271,7 @@ def _parse_object(manifest: Manifest, kind: str, name: str,
     try:
         _parse_object_inner(manifest, kind, name, fields, lineno)
     except InputError as exc:
-        if str(exc).startswith(f"line {lineno}"):
-            raise
-        raise InputError(f"line {lineno}: {exc}") from None
+        raise _at_line(exc, lineno) from None
 
 
 def _parse_object_inner(manifest: Manifest, kind: str, name: str,
@@ -372,7 +368,7 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
             try:
                 FiltrationConfig(kappa=kappa).check(target)
             except InputError as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
+                raise _at_line(exc, lineno) from None
             header_line = lineno
         elif kind == "step":
             if target is None:
@@ -389,7 +385,7 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
                                      Submodule(target.m2, tuple(gens2)))
                               if prev is None else SubRep.extending(prev, gens1, gens2))
             except InputError as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
+                raise _at_line(exc, lineno) from None
         elif kind == "stepreport":
             _require(fields, ["witnesses", "q1", "q2", "b1", "b2"], lineno)
             idx = _int(name, "step report index", lineno)

@@ -8,22 +8,93 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import gcd
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from .approx import module_classes
-from .errors import InternalConsistencyError
-from .exact_linalg import IntMatrix, determinant, smith_normal_form
+from .errors import InputError, InternalConsistencyError
+from .exact_linalg import IntMatrix, smith_normal_form, solve_mod
 from .finmod import (
     FiniteModule,
     ModuleMorphism,
     Submodule,
+    _element_system,
     compose,
-    element_preimage,
     hom_group,
     indecomposable_projectives,
-    multiplication_map,
+    subgroup_presentation,
 )
 from .ideals import ProjectiveFactorization, factors_through_projective, free_cover_epi
+
+
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise InputError("determinant: matrix must be square")
+    k = a.rows
+    if k == 0:
+        return 1
+    m = a.to_rows()
+    sign = 1
+    prev = 1
+    for t in range(k - 1):
+        if m[t][t] == 0:
+            swap = next((i for i in range(t + 1, k) if m[i][t] != 0), None)
+            if swap is None:
+                return 0
+            m[t], m[swap] = m[swap], m[t]
+            sign = -sign
+        for i in range(t + 1, k):
+            for j in range(t + 1, k):
+                m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
+            m[i][t] = 0
+        prev = m[t][t]
+    return sign * m[k - 1][k - 1]
+
+
+def element_preimage(f: ModuleMorphism, y: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The lexicographically lowest x with f(x) == y, or None, from one
+    `solve_mod` system."""
+    y = f.target.reduce(y)
+    cols = [f.column(j) for j in range(f.source.rank)]
+    n = f.source.ring.modulus
+    sol = solve_mod(*_element_system(n, f.target.invariant_factors, cols, y), n)
+    if sol is None:
+        return None
+    return f.source.reduce(sol)
+
+
+def is_direct_summand(sub: Submodule) -> Optional[ModuleMorphism]:
+    """A retraction r with r o embedding == id onto the canonical presentation
+    of the submodule, or None.  Rows of r are solved independently.  Over
+    Z/n a submodule is pure exactly when it is a direct summand, so this is
+    the second route to `finmod.is_pure_submodule`."""
+    amb = sub.ambient
+    k, emb = subgroup_presentation(sub)
+    if k.rank == 0:
+        return ModuleMorphism.zero_map(amb, k)
+    n = amb.ring.modulus
+    t = amb.rank
+    # unknown q is entry q of a row of r: r o emb == id on that row, and
+    # the row kills d_q * e_q
+    cols = [emb.matrix[q] + tuple(dq if qq == q else 0 for qq in range(t))
+            for q, dq in enumerate(amb.invariant_factors)]
+    rows_out = []
+    for i, ki in enumerate(k.invariant_factors):
+        rhs = [1 if l == i else 0 for l in range(k.rank)] + [0] * t
+        sol = solve_mod(*_element_system(n, [ki] * (k.rank + t), cols, rhs), n)
+        if sol is None:
+            return None
+        rows_out.append(sol)
+    r = ModuleMorphism(amb, k, tuple(tuple(row) for row in rows_out))
+    if compose(r, emb) != ModuleMorphism.identity(k):
+        raise InternalConsistencyError("retraction failed its defining equation")
+    return r
+
+
+def multiplication_map(m: FiniteModule, d: int) -> ModuleMorphism:
+    """Multiplication by the scalar d as an endomorphism."""
+    return ModuleMorphism(m, m, tuple(
+        tuple(d if i == j else 0 for j in range(m.rank)) for i in range(m.rank)))
 
 
 def minor_gcd_diagonal(a: IntMatrix) -> tuple[int, ...]:

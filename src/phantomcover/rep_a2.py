@@ -198,21 +198,21 @@ def slice_phantom_witness(lower: SubRep,
     components of lower and S', T' those of upper; None when it is phantom.
     `is_phantom`'s column test holds for any cyclic decomposition of S'/S,
     and (n/d) * (T'/T) is ((n/d) * T' + T) / T: one Howell form per d.
-    For d = n that span is T' itself, as T <= T' is checked first, and the
-    reduced Howell basis is unique for its span, so the test reads the
-    form T' already holds and builds none."""
+    For d = n that span is T' itself, as T <= T' is checked first
+    (`contains_submodule`), and the reduced Howell basis is unique for its
+    span, so the test reads the form T' already holds and builds none."""
     if lower.ambient != upper.ambient:
         raise InputError("slice: subrepresentations of different representations")
     rep = upper.ambient
     n = rep.ring.modulus
-    top, bottom = upper.s2.howell, lower.s2.howell
-    if not all(top.contains(row) for row in bottom.rows):
+    if not upper.s2.contains_submodule(lower.s2):
         raise InternalConsistencyError("slice: lower second component is not in the upper one")
+    top = upper.s2.howell
     forms = {n: top}
     for d, g in slice_generators(lower.s1, upper.s1):
         if d not in forms:
             forms[d] = howell_form([[n // d * x for x in row] for row in top.rows]
-                                   + list(bottom.rows), n, rep.m2.rank)
+                                   + list(lower.s2.howell.rows), n, rep.m2.rank)
         if not forms[d].contains(_scaled(rep.m2, rep.f.apply(g))):
             return d, g
     return None
@@ -238,10 +238,7 @@ def _quotient_rep_data(sub: SubRep) -> tuple[RepA2, RepMorphism, QuotientData, Q
     amb = sub.ambient
     q1 = quotient_by(amb.m1, sub.s1.generators)
     q2 = quotient_by(amb.m2, sub.s2.generators)
-    pf = compose(q2.projection, amb.f)
-    cols = [pf.apply(lift) for lift in q1.lifts]
-    induced = ModuleMorphism.from_columns(q1.module, q2.module, cols)
-    rep = RepA2(q1.module, q2.module, induced)
+    rep = RepA2(q1.module, q2.module, q1.induced(compose(q2.projection, amb.f)))
     return rep, RepMorphism(amb, rep, q1.projection, q2.projection), q1, q2
 
 
@@ -294,16 +291,11 @@ def rep_colimit(diagram: RepDiagram) -> RepColimit:
     d1, d2 = diagram.component_diagrams()
     col1 = directed_colimit(d1)
     col2 = directed_colimit(d2)
-    # connecting map: push each canonical generator of the first colimit
-    # through the summand it lifts into
-    c = None
+    # connecting map: induced by f at each object followed by the second
+    # colimit's structural map there
     names = col1._order
-    for idx, nm in enumerate(names):
-        leg = compose(col2.structural[nm],
-                      compose(diagram.objects[nm].f, col1._sum.projections[idx]))
-        c = leg if c is None else c + leg
-    cols = [c.apply(col1._quotient.lift_element(k)) for k in range(col1.module.rank)]
-    connecting = ModuleMorphism.from_columns(col1.module, col2.module, cols)
+    connecting = col1._quotient.induced(col1._sum.copair(
+        [compose(col2.structural[nm], diagram.objects[nm].f) for nm in names]))
     rep = RepA2(col1.module, col2.module, connecting)
     structural = {}
     for nm in names:

@@ -156,7 +156,7 @@ def test_precover_membership_matches_the_solver(data):
     x = data.draw(modules(ring, max_card=64, max_rank=3))
     m = data.draw(modules(ring, max_card=64, max_rank=3))
     phi = data.draw(morphisms(x, m))
-    pool = [m.zero_element(), phi.apply(data.draw(elements(x))),
+    pool = [(0,) * m.rank, phi.apply(data.draw(elements(x))),
             data.draw(elements(m)), data.draw(elements(m))]
     probes = []
     for _ in range(data.draw(st.integers(0, 5))):

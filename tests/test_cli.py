@@ -725,3 +725,32 @@ def test_ladder_filtration_bytes_are_pinned(capsys, tmp_path):
     assert sha(out.read_bytes()) == pinned["ladder_n8_k24.filt"]
     assert main(["verify-filtration", "--input", str(out)]) == 0
     assert sha(capsys.readouterr().out.encode()) == pinned["ladder_n8_k24.verify.out"]
+
+
+DATA = Path(__file__).parent / "data"
+# each line: the output name, the exit code, the command line
+ROUTE_COMMANDS = [(name, int(code), argv) for name, code, *argv in
+                  map(str.split, (DATA / "routes.commands").read_text().splitlines())]
+
+
+@pytest.mark.parametrize("name, code, argv", ROUTE_COMMANDS,
+                         ids=[c[0] for c in ROUTE_COMMANDS])
+def test_route_bytes_are_pinned(name, code, argv, capsys, tmp_path, monkeypatch):
+    # kernels, pushouts, colimits, quotient-induced maps, generated-ideal
+    # membership and the cover tests behind these commands print the same
+    # records, and write the same --output files, as when the digests in
+    # routes.sha256 were taken; the CI step "Route bytes" runs the same table
+    pinned = dict(line.split()[::-1] for line in
+                  (DATA / "routes.sha256").read_text().splitlines())
+    for manifest in DATA.glob("routes_n*.txt"):
+        (tmp_path / manifest.name).write_bytes(manifest.read_bytes())
+    monkeypatch.chdir(tmp_path)
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    assert main(argv) == code
+    assert sha(capsys.readouterr().out.encode()) == pinned[f"{name}.out"]
+    if "--output" in argv:
+        written = argv[argv.index("--output") + 1]
+        assert sha((tmp_path / written).read_bytes()) == pinned[written]

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from phantomcover.errors import InputError
 from phantomcover.exact_linalg import (
     IntMatrix,
-    determinant,
     smith_normal_form,
     solution_space_mod,
     solve_mod,
 )
 from phantomcover.oracles import (
     additive_closure_mod,
+    determinant,
     exhaustive_kernel_mod,
     exhaustive_solve_mod,
     integer_kernel_basis,
@@ -68,14 +68,14 @@ def test_snf_identity():
 
 
 def test_snf_zero_matrix():
-    a = IntMatrix.zeros(3, 2)
+    a = IntMatrix(3, 2, (0,) * 6)
     s = smith_normal_form(a)
     assert s.d == a
     assert_valid_snf(a, s)
 
 
 def test_snf_empty_matrix():
-    a = IntMatrix.zeros(0, 3)
+    a = IntMatrix(0, 3, ())
     s = smith_normal_form(a)
     assert s.d == a
     assert s.diagonal() == ()
@@ -94,7 +94,7 @@ def _seeded_matrices():
     zero, square, tall and wide, with dense and with sparse entries."""
     rng = random.Random(20261018)
     for r, c in [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4), (6, 3), (3, 6), (5, 2), (2, 5)]:
-        yield IntMatrix.zeros(r, c)
+        yield IntMatrix(r, c, (0,) * (r * c))
         for _ in range(6):
             yield IntMatrix(r, c, tuple(rng.randint(-20, 20) for _ in range(r * c)))
             yield IntMatrix(r, c, tuple(rng.choice((0, 0, 0, 2, -4, 6, 9, 12))
@@ -147,7 +147,7 @@ def test_solution_space_examples():
     gens = solution_space_mod(IntMatrix.from_rows([[2]]), 4)
     assert additive_closure_mod(gens, 1, 4) == {(0,), (2,)}
     assert solution_space_mod(IntMatrix.from_rows([[1]]), 4) == []
-    gens = solution_space_mod(IntMatrix.zeros(1, 1), 4)
+    gens = solution_space_mod(IntMatrix.from_rows([[0]]), 4)
     assert additive_closure_mod(gens, 1, 4) == {(x,) for x in range(4)}
 
 

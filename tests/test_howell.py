@@ -17,7 +17,6 @@ from phantomcover.finmod import (
     _lowest_scalar_preimage,
     _purification_witness,
     compose,
-    element_preimage,
     pure_closure_counted,
     quotient_by,
     same_subgroup,
@@ -25,6 +24,7 @@ from phantomcover.finmod import (
 )
 from phantomcover.oracles import (
     additive_closure_mod,
+    element_preimage,
     lowest_non_member,
     lowest_purification_witness,
     subgroup_elements,

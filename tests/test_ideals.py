@@ -1,19 +1,22 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import modules, morphisms, rings
 from phantomcover.errors import InputError
+from phantomcover.exact_linalg import solve_mod
 from phantomcover.finmod import (
     Diagram,
     FiniteModule,
     ModuleMorphism,
     Ring,
+    _element_system,
     compose,
     is_projective,
 )
 from phantomcover.ideals import (
     MorphismIdeal,
+    _hom_subgroup_contains,
     SystemMorphism,
     closed_under_direct_limits_check,
     factors_through_projective,
@@ -124,6 +127,36 @@ def test_ideal_membership_examples():
     assert not ideal_membership(gen4, ModuleMorphism.identity(two))
 
     assert ideal_membership(MorphismIdeal.full_hom(Z4), ModuleMorphism.identity(two))
+
+
+def _hom_contains_by_solver(span, f):
+    """Membership by one solve_mod system over the span's matrices: the
+    route `_hom_subgroup_contains` took before it read a Howell form."""
+    n = f.source.ring.modulus
+    moduli = [ei for ei in f.target.invariant_factors for _ in range(f.source.rank)]
+    cols = [[x for row in g.matrix for x in row] for g in span]
+    rhs = [x for row in f.matrix for x in row]
+    return solve_mod(*_element_system(n, moduli, cols, rhs), n) is not None
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hom_subgroup_membership_matches_the_solver(data):
+    # f is drawn freely or as a combination of the span, so both verdicts
+    # occur; an empty span holds only the zero map
+    ring = data.draw(rings(moduli=(2, 3, 4, 6, 8, 9, 12, 16, 18, 36)))
+    src = data.draw(modules(ring, max_card=64, max_rank=3))
+    tgt = data.draw(modules(ring, max_card=64, max_rank=3))
+    span = data.draw(st.lists(morphisms(src, tgt), max_size=4))
+    f = data.draw(morphisms(src, tgt))
+    if span and data.draw(st.booleans()):
+        f = ModuleMorphism.zero_map(src, tgt)
+        for g in span:
+            c = data.draw(st.integers(0, ring.modulus - 1))
+            f = f + ModuleMorphism(src, tgt, tuple(
+                tuple(c * x for x in row) for row in g.matrix))
+    assert _hom_subgroup_contains(span, f) == _hom_contains_by_solver(span, f)
 
 
 def test_ideal_membership_ring_mismatch():

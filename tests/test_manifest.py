@@ -144,15 +144,14 @@ _CHAIN = ("[morphism f] from=M to=M rows=1,0;0,1\n[rep F] f=f\n"
 ])
 def test_integer_list_errors_name_the_first_bad_entry(entry, shown):
     # a list is matched as a whole; one that does not match goes entry by
-    # entry, so the message names the entry, as it always has.  Only the
-    # tail of a [step] error is checked: its line prefix is doubled (see
-    # the FOUND line on parse_filtration in CHANGES.md).
+    # entry, so the message names the entry, as it always has, and names
+    # its line once, in a [step] record as in a [morphism] record
     with pytest.raises(InputError) as exc:
         parse(_HEAD + f"[morphism f] from=M to=M rows=1,0;0,{entry}\n")
     assert str(exc.value) == f"line 4: malformed vector{shown}"
     with pytest.raises(InputError) as exc:
         parse_filtration(_HEAD + _CHAIN + f"[step 1] s1=1,0;0,{entry} s2=1,0;0,1\n")
-    assert str(exc.value).endswith(f"line 8: malformed vector{shown}")
+    assert str(exc.value) == f"line 8: malformed vector{shown}"
 
 
 def test_integer_lists_parse_as_before():

@@ -320,7 +320,7 @@ def test_quotient_rep_induced_map_matches_the_per_generator_route(data):
     assert (q.m1, q.m2) == (q1.module, q2.module)
     assert (square.d, square.s) == (q1.projection, q2.projection)
     assert q.f == ModuleMorphism.from_columns(q1.module, q2.module, [
-        q2.projection.apply(f.apply(q1.lift_element(k))) for k in range(q1.module.rank)])
+        q2.projection.apply(f.apply(m1.reduce(lift))) for lift in q1.lifts])
 
 
 SLICE_MODULI = (2, 4, 6, 8, 9, 12, 16, 18, 24, 27, 36, 72)

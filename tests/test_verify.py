@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import phantomcover
 from phantomcover import verify
 from phantomcover.errors import InputError
 from phantomcover.finmod import FiniteModule, ModuleMorphism, Ring
@@ -78,3 +82,23 @@ def test_raising_sample_is_recorded_and_the_rest_still_run(monkeypatch):
     f = out.failures[0]
     assert (f.prop, f.ring, f.seed, f.sample) == ("flaky", 4, 4, 1)
     assert f.message == "raised ZeroDivisionError: synthetic crash"
+
+
+PRODUCTION = ("exact_linalg", "finmod", "ideals", "approx", "rep_a2", "filtration",
+              "manifest", "cli")
+CROSS_CHECK_ROUTES = {"solve_mod", "solution_space_mod", "determinant", "element_preimage",
+                      "multiplication_map", "is_direct_summand"}
+
+
+def test_production_modules_name_no_cross_check_route():
+    # the solvers stay public for the suite and the tests, and the second
+    # routes live in oracles.py; no production module imports, calls or
+    # otherwise names any of them
+    package = Path(phantomcover.__file__).parent
+    for module in PRODUCTION:
+        tree = ast.parse((package / f"{module}.py").read_text())
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not named & CROSS_CHECK_ROUTES, module
