@@ -131,16 +131,20 @@ class Filtration:
         return len(self.steps) - 1
 
 
-def _fresh_element(rep: RepA2, cur: SubRep):
+def _fresh_element(rep: RepA2, cur: SubRep, start: Optional[tuple[int, int]] = None):
     """Lowest element of m1 then m2, in lexicographic order, outside the
     current step; None when the step is already everything.
 
     The elements below the generator e_j are those supported after
     position j, so the lowest non-member is e_j for the largest j with
-    e_j outside the step.
+    e_j outside the step.  The scan runs over m1's e_j from the top down,
+    then m2's; start = (component, j) begins it at that e_j, for a caller
+    that knows every e_j the scan meets before it lies in cur, so that the
+    answer is the full scan's.  The default is the full scan.
     """
-    for component, sub in ((1, cur.s1), (2, cur.s2)):
-        for j in reversed(range(sub.ambient.rank)):
+    c0, j0 = start or (1, rep.m1.rank - 1)
+    for component, sub in ((1, cur.s1), (2, cur.s2))[c0 - 1:]:
+        for j in range(j0 if component == c0 else sub.ambient.rank - 1, -1, -1):
             e = sub.ambient.generator(j)
             if not sub.contains(e):
                 return component, e
@@ -212,6 +216,13 @@ def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
     step below, so its Howell bases and purity forms are the step below's
     with the new generators inserted.  The walk hands each step's purity
     forms to the next candidate and keeps no others.
+
+    Each fresh-element scan resumes at the e_j where the one before it
+    stopped (`_fresh_element`'s start): the steps only grow, so every e_j
+    an earlier scan passed over as a member is still one, and the scans
+    of the whole walk test at most rank(m1) + rank(m2) + steps elements.
+    A candidate's slice is cyclic, so `slice_is_phantom` decides it from
+    its order and one membership test.
     """
     cfg.check(rep)
     if not in_ideal_class(MorphismIdeal.phantom(rep.ring), rep):
@@ -219,6 +230,7 @@ def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
     steps = [SubRep.zero(rep)]
     reports: list[StepReport] = []
     forms: Optional[_StepForms] = None  # of steps[-1], where the walk read them
+    start: Optional[tuple[int, int]] = None  # where the last fresh-element scan stopped
     while not steps[-1].is_full:
         cur = steps[-1]
         c1 = rep.m1.cardinality // cur.s1.cardinality
@@ -227,10 +239,11 @@ def build_filtration(rep: RepA2, cfg: FiltrationConfig) -> Filtration:
             steps.append(SubRep.full(rep))
             reports.append(StepReport(0, c1, c2, cfg.kappa, cfg.kappa))
             continue
-        fresh = _fresh_element(rep, cur)
+        fresh = _fresh_element(rep, cur, start)
         if fresh is None:
             raise InternalConsistencyError("no fresh element in a proper step")
         component, x = fresh
+        start = (component, x.index(1))  # x is the unit vector e_j
         nxt = _ambient_candidate(cur, component, x)
         nxt_forms = subrep_purity(nxt, forms)
         if nxt_forms is not None:

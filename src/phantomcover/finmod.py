@@ -442,11 +442,16 @@ class Submodule:
 
     def contains_submodule(self, other: "Submodule") -> bool:
         """Whether other <= self, in one ambient; a generator of other that
-        is literally one of self's needs no reduction."""
+        is literally one of self's needs no reduction, and other's tuple
+        being a prefix of self's, as along a filtration chain, needs no
+        lookup either."""
         if other.ambient != self.ambient:
             raise InputError("contains_submodule: ambient modules differ")
+        gens = other.generators
+        if self.generators[:len(gens)] == gens:
+            return True
         own = set(self.generators)
-        return all(g in own or self.contains(g) for g in other.generators)
+        return all(g in own or self.contains(g) for g in gens)
 
     def join(self, extra: Iterable[Sequence[int]]) -> "Submodule":
         """self with the generators extra appended.  Only they are reduced,
@@ -478,26 +483,38 @@ def same_subgroup(a: Submodule, b: Submodule) -> bool:
 # canonical presentations from relation lattices
 # ---------------------------------------------------------------------------
 
-def _quotient_structure(ncoords: int, relations: Sequence[Sequence[int]]):
+def _quotient_structure(ncoords: int, relations: Sequence[Sequence[int]] = (),
+                        diagonal: Optional[Sequence[int]] = None):
     """Canonical data for Z^ncoords / <relations>.
 
     Returns (factors, proj_rows, lift_cols): `factors` are the nontrivial
     invariant factors, `proj_rows[k]` expresses canonical generator k in the
     ambient coordinates, and `lift_cols[k]` is an integer preimage of it.
     The quotient must be finite (callers include ambient relations).
+    `diagonal`, one positive d_i per coordinate, stands for the relations
+    d_i * e_i after `relations`; their rows are built only for the Smith
+    form.
 
     The data are those of the Smith form of the relation matrix.  A
     monomial lattice, each relation a positive multiple of one coordinate,
     is read off in closed form where that Smith form only permutes rows.
     """
-    entries: list[list[int]] = [[] for _ in range(ncoords)]
+    entries = ([[] for _ in range(ncoords)] if diagonal is None
+               else [[d] for d in diagonal])
     for rel in relations:
         support = [i for i, x in enumerate(rel) if x]
         if len(support) > 1 or (support and rel[support[0]] < 0):
-            return _smith_structure(ncoords, relations)
+            break
         if support:
             entries[support[0]].append(rel[support[0]])
-    return _monomial_structure(entries) or _smith_structure(ncoords, relations)
+    else:
+        found = _monomial_structure(entries)
+        if found:
+            return found
+    if diagonal is not None:
+        relations = [*relations, *([d if i == j else 0 for i in range(ncoords)]
+                                   for j, d in enumerate(diagonal))]
+    return _smith_structure(ncoords, relations)
 
 
 def _smith_structure(ncoords: int, relations: Sequence[Sequence[int]]):
@@ -575,10 +592,8 @@ class QuotientData:
 
 def quotient_by(ambient: FiniteModule, generators: Sequence[Sequence[int]]) -> QuotientData:
     """ambient / <generators> in canonical form with projection and lifts."""
-    rels = [list(ambient.reduce(g)) for g in generators]
-    for j, d in enumerate(ambient.invariant_factors):
-        rels.append([d if i == j else 0 for i in range(ambient.rank)])
-    factors, proj_rows, lift_cols = _quotient_structure(ambient.rank, rels)
+    factors, proj_rows, lift_cols = _quotient_structure(
+        ambient.rank, [ambient.reduce(g) for g in generators], ambient.invariant_factors)
     q = FiniteModule(ambient.ring, factors)
     projection = ModuleMorphism(ambient, q, tuple(proj_rows))
     return QuotientData(q, projection, tuple(lift_cols))
@@ -808,9 +823,7 @@ def direct_sum(summands: Sequence[FiniteModule]) -> DirectSum:
     if any(m.ring != ring for m in summands):
         raise InputError("direct_sum: ring mismatch")
     concat = [d for m in summands for d in m.invariant_factors]
-    total = len(concat)
-    factors, proj_rows, lift_cols = _quotient_structure(
-        total, [[d if i == j else 0 for i in range(total)] for j, d in enumerate(concat)])
+    factors, proj_rows, lift_cols = _quotient_structure(len(concat), diagonal=concat)
     module = FiniteModule(ring, factors)
     injections = []
     projections = []

@@ -16,6 +16,7 @@ from .exact_linalg import IntMatrix, smith_normal_form, solve_mod
 from .finmod import (
     FiniteModule,
     ModuleMorphism,
+    Pushout,
     Submodule,
     _element_system,
     compose,
@@ -61,6 +62,28 @@ def element_preimage(f: ModuleMorphism, y: Sequence[int]) -> Optional[tuple[int,
     if sol is None:
         return None
     return f.source.reduce(sol)
+
+
+def mediating_by_solver(po: Pushout, a: ModuleMorphism,
+                        b: ModuleMorphism) -> Optional[ModuleMorphism]:
+    """A second route to `pushout_mediating`: solve the hom-level system
+    row by row with the modular solver, or None when a row has no solution."""
+    x = po.module
+    c_mod = a.target
+    n = x.ring.modulus
+    # unknown q is entry q of a row of m: m o u' == a and m o v' == b on
+    # that row, and the row kills d_q * e_q
+    cols = [po.u_prime.matrix[q] + po.v_prime.matrix[q]
+            + tuple(dq if qq == q else 0 for qq in range(x.rank))
+            for q, dq in enumerate(x.invariant_factors)]
+    rows_out = []
+    for i, ci in enumerate(c_mod.invariant_factors):
+        rhs = a.matrix[i] + b.matrix[i] + (0,) * x.rank
+        sol = solve_mod(*_element_system(n, [ci] * len(rhs), cols, rhs), n)
+        if sol is None:
+            return None
+        rows_out.append(sol)
+    return ModuleMorphism(x, c_mod, tuple(tuple(r) for r in rows_out))
 
 
 def is_direct_summand(sub: Submodule) -> Optional[ModuleMorphism]:

@@ -200,7 +200,17 @@ def slice_phantom_witness(lower: SubRep,
     and (n/d) * (T'/T) is ((n/d) * T' + T) / T: one Howell form per d.
     For d = n that span is T' itself, as T <= T' is checked first
     (`contains_submodule`), and the reduced Howell basis is unique for its
-    span, so the test reads the form T' already holds and builds none."""
+    span, so the test reads the form T' already holds and builds none.
+
+    When S's generator tuple is a prefix of S''s and S' adds at most one
+    generator g, S'/S is cyclic, generated by the class of g, of order
+    e = |S'| / |S| read off the two Howell cardinalities; its one-summand
+    decomposition is phantom iff f(g) lies in (n/e) * T' + T, since any
+    generator of S'/S is c * g plus an element of S, whose image lies in
+    T.  So e = 1 or f(g) inside returns None with no decomposition, and
+    only f(g) outside takes the general route, which names the same
+    (d, g) as for any other pair (InternalConsistencyError if it finds
+    none)."""
     if lower.ambient != upper.ambient:
         raise InputError("slice: subrepresentations of different representations")
     rep = upper.ambient
@@ -209,12 +219,24 @@ def slice_phantom_witness(lower: SubRep,
         raise InternalConsistencyError("slice: lower second component is not in the upper one")
     top = upper.s2.howell
     forms = {n: top}
-    for d, g in slice_generators(lower.s1, upper.s1):
+
+    def outside(d: int, g: tuple[int, ...]) -> bool:
         if d not in forms:
             forms[d] = howell_form([[n // d * x for x in row] for row in top.rows]
                                    + list(lower.s2.howell.rows), n, rep.m2.rank)
-        if not forms[d].contains(_scaled(rep.m2, rep.f.apply(g))):
+        return not forms[d].contains(_scaled(rep.m2, rep.f.apply(g)))
+
+    below, gens = lower.s1.generators, upper.s1.generators
+    cyclic = len(gens) <= len(below) + 1 and gens[:len(below)] == below
+    if cyclic:
+        e = upper.s1.cardinality // lower.s1.cardinality
+        if e == 1 or not outside(e, gens[-1]):
+            return None
+    for d, g in slice_generators(lower.s1, upper.s1):
+        if outside(d, g):
             return d, g
+    if cyclic:
+        raise InternalConsistencyError("cyclic slice generator outside, but no witness found")
     return None
 
 

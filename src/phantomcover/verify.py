@@ -32,7 +32,6 @@ from .finmod import (
     ModuleMorphism,
     Ring,
     Submodule,
-    _element_system,
     _proper_prime_powers,
     _purification_witness,
     compose,
@@ -193,27 +192,6 @@ def prop_purity_summand_equivalence(chk, rng, ring):
                f"purity={pure} but summand={retraction is not None}", ambient=m)
 
 
-def _mediating_by_solver(po, a, b):
-    """Independent route to the mediating morphism: solve the hom-level
-    system row by row with the modular solver."""
-    x = po.module
-    c_mod = a.target
-    n = x.ring.modulus
-    # unknown q is entry q of a row of m: m o u' == a and m o v' == b on
-    # that row, and the row kills d_q * e_q
-    cols = [po.u_prime.matrix[q] + po.v_prime.matrix[q]
-            + tuple(dq if qq == q else 0 for qq in range(x.rank))
-            for q, dq in enumerate(x.invariant_factors)]
-    rows_out = []
-    for i, ci in enumerate(c_mod.invariant_factors):
-        rhs = a.matrix[i] + b.matrix[i] + (0,) * x.rank
-        sol = solve_mod(*_element_system(n, [ci] * len(rhs), cols, rhs), n)
-        if sol is None:
-            return None
-        rows_out.append(sol)
-    return ModuleMorphism(x, c_mod, tuple(tuple(r) for r in rows_out))
-
-
 def prop_pushout_universal(chk, rng, ring):
     from .finmod import pushout, pushout_mediating
 
@@ -228,7 +206,7 @@ def prop_pushout_universal(chk, rng, ring):
     a, b = compose(w, po.u_prime), compose(w, po.v_prime)
     med = pushout_mediating(po, a, b)
     chk.ensure(med == w, "mediating morphism is not unique", u=u, v=v)
-    solved = _mediating_by_solver(po, a, b)
+    solved = _oracles.mediating_by_solver(po, a, b)
     chk.ensure(solved == med, "solver route found a different mediating morphism",
                u=u, v=v)
     gens = [po.u_prime.column(j) for j in range(po.u_prime.source.rank)]

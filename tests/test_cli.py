@@ -703,28 +703,38 @@ def test_mutated_inputs_keep_the_exit_code_contract(mutation_sources, data):
     assert "error=unexpected" not in err.getvalue()
 
 
-LADDER_24 = Path(__file__).parent / "data" / "ladder_n8_k24.txt"
+LADDER_DATA = Path(__file__).parent / "data"
 
 
-def test_ladder_filtration_bytes_are_pinned(capsys, tmp_path):
-    # the rank-24 ladder (perfbench's filtrate_instance(1, 8, 24, 3)):
-    # filtrate writes the same file and prints the same records, and
-    # verify-filtration the same lines, as when the digests were taken
+def _assert_ladder_bytes_pinned(stem, capsys, tmp_path):
+    """filtrate on tests/data/<stem>.txt writes the same file and prints
+    the same records, and verify-filtration the same lines, as when the
+    digests in <stem>.sha256 were taken."""
     pinned = {}
-    for line in (LADDER_24.parent / "ladder_n8_k24.sha256").read_text().splitlines():
+    for line in (LADDER_DATA / f"{stem}.sha256").read_text().splitlines():
         digest, name = line.split()
         pinned[name] = digest
 
     def sha(data):
         return hashlib.sha256(data).hexdigest()
 
-    out = tmp_path / "ladder_n8_k24.filt"
-    assert main(["filtrate", "--input", str(LADDER_24), "--rep", "F", "--kappa", "8",
-                 "--output", str(out)]) == 0
-    assert sha(capsys.readouterr().out.encode()) == pinned["ladder_n8_k24.filtrate.out"]
-    assert sha(out.read_bytes()) == pinned["ladder_n8_k24.filt"]
+    out = tmp_path / f"{stem}.filt"
+    assert main(["filtrate", "--input", str(LADDER_DATA / f"{stem}.txt"), "--rep", "F",
+                 "--kappa", "8", "--output", str(out)]) == 0
+    assert sha(capsys.readouterr().out.encode()) == pinned[f"{stem}.filtrate.out"]
+    assert sha(out.read_bytes()) == pinned[f"{stem}.filt"]
     assert main(["verify-filtration", "--input", str(out)]) == 0
-    assert sha(capsys.readouterr().out.encode()) == pinned["ladder_n8_k24.verify.out"]
+    assert sha(capsys.readouterr().out.encode()) == pinned[f"{stem}.verify.out"]
+
+
+def test_ladder_filtration_bytes_are_pinned(capsys, tmp_path):
+    # the rank-24 ladder, perfbench's filtrate_instance(1, 8, 24, 3)
+    _assert_ladder_bytes_pinned("ladder_n8_k24", capsys, tmp_path)
+
+
+def test_rank_96_ladder_filtration_bytes_are_pinned(capsys, tmp_path):
+    # filtrate_instance(1, 8, 96, 3): 97 steps, a 1.8 MB filtration file
+    _assert_ladder_bytes_pinned("ladder_n8_k96", capsys, tmp_path)
 
 
 DATA = Path(__file__).parent / "data"

@@ -1,7 +1,7 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import phantom_morphisms, rings
@@ -356,6 +356,68 @@ def test_verify_filtration_ladder_builds_no_slice_form(monkeypatch):
     built = _record_calls(monkeypatch, "howell_form", rep_a2)
     assert verify_filtration(filt, cfg).ok
     assert built == []
+
+
+def test_verify_filtration_ladder_decomposes_only_the_jump_to_the_top(monkeypatch):
+    # each ladder step below the top extends the one below by one
+    # generator of S1, so its slice is read from its order and one
+    # membership test; only the jump to the top, whose generators are M1's
+    # own, is no prefix and is decomposed
+    cfg = FiltrationConfig(kappa=8)
+    filt = build_filtration(_ladder(8), cfg)
+    low, top = filt.steps[-2:]
+    assert top.s1.generators[:len(low.s1.generators)] != low.s1.generators
+    calls = _record_calls(monkeypatch, "slice_generators", rep_a2)
+    assert verify_filtration(filt, cfg).ok
+    assert calls == [(low.s1, top.s1)]
+
+
+def test_build_filtration_ladder_fresh_scans_resume(monkeypatch):
+    # each scan resumes at the e_j where the one before it stopped, so the
+    # walk's scans test each position once, plus one re-test a step
+    rep = _ladder(8)
+    tests, inside = [], []
+    real_fresh, real_contains = filtration._fresh_element, Submodule.contains
+
+    def fresh(*args):
+        inside.append(True)
+        try:
+            return real_fresh(*args)
+        finally:
+            inside.pop()
+
+    def contains(self, x):
+        if inside:
+            tests.append(x)
+        return real_contains(self, x)
+
+    monkeypatch.setattr(filtration, "_fresh_element", fresh)
+    monkeypatch.setattr(Submodule, "contains", contains)
+    filt = build_filtration(rep, FiltrationConfig(kappa=8))
+    assert 0 < len(tests) <= rep.m1.rank + rep.m2.rank + filt.length
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((4, 8, 9, 12, 16)), st.integers(1, 10**6))
+def test_fresh_element_resumes_at_any_passed_start(n, sample):
+    # the scan positions, m1's e_j from the top down and then m2's: a scan
+    # started at any position the full scan passes, its answer included,
+    # returns the full scan's answer, and the builder's start, where the
+    # scan of the step below stopped, is always one of them
+    rep = random_phantom_rep(sample, Ring(n), 4096)
+    positions = ([(1, j) for j in reversed(range(rep.m1.rank))]
+                 + [(2, j) for j in reversed(range(rep.m2.rank))])
+    start = None
+    for cur in build_filtration(rep, FiltrationConfig(kappa=n)).steps:
+        full = filtration._fresh_element(rep, cur)
+        passed = positions if full is None else positions[:positions.index(
+            (full[0], full[1].index(1))) + 1]
+        assert start is None or start in passed
+        for p in passed:
+            assert filtration._fresh_element(rep, cur, p) == full
+        if full is not None:
+            start = (full[0], full[1].index(1))
 
 
 def test_build_filtration_steps_pass_the_full_subrep_check():

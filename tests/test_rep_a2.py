@@ -6,6 +6,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import elements, modules, morphisms, phantom_morphisms, rings
+from phantomcover import rep_a2
 from phantomcover.errors import InputError, InternalConsistencyError
 from phantomcover.exact_linalg import howell_form
 from phantomcover.finmod import (
@@ -13,6 +14,7 @@ from phantomcover.finmod import (
     ModuleMorphism,
     Ring,
     Submodule,
+    _scaled,
     compose,
     direct_sum,
     is_automorphism,
@@ -150,6 +152,12 @@ def test_contains_submodule_reduces_only_unlisted_generators(monkeypatch):
     # a listed generator given unreduced is the same element
     assert big.contains_submodule(Submodule(m, ((10, 0),)))
     assert reduced == [(4, 4), (0, 2)]
+    # a prefix of big's generators, the zero submodule included, needs
+    # no reduction
+    assert big.contains_submodule(Submodule(m, ((2, 0),)))
+    assert big.contains_submodule(Submodule.zero(m))
+    assert reduced == [(4, 4), (0, 2)]
+    assert not Submodule(m, ((2, 0),)).contains_submodule(big)
 
 
 def test_subrep_validation():
@@ -450,6 +458,61 @@ def test_slice_witness_is_a_certificate():
                            + lower.s2.generators)
         assert not target.contains(rep.f.apply(g))
     assert found >= 30
+
+
+def _decomposition_witness(rep, lower, upper):
+    """The first (d, g) of `slice_generators` with f(g) outside
+    (n/d) * T' + T, that form built from scratch for every d."""
+    n = rep.ring.modulus
+    for d, g in slice_generators(lower.s1, upper.s1):
+        target = howell_form([[n // d * x for x in row] for row in upper.s2.howell.rows]
+                             + list(lower.s2.howell.rows), n, rep.m2.rank)
+        if not target.contains(_scaled(rep.m2, rep.f.apply(g))):
+            return d, g
+    return None
+
+
+def test_cyclic_slice_matches_the_decomposition_route(monkeypatch):
+    # upper.s1 extends lower.s1 by one generator g: the witness is the
+    # decomposition route's, read from the order e = |S'| / |S| and f(g)
+    # alone unless f(g) is outside.  The same subgroups listed with g first
+    # are no prefix and take the decomposition route.  At e = n, f(g) lies
+    # in T' for every checked pair, so the pair is also tried with T' = T
+    # and its generator check skipped: there f(g) outside T is a witness
+    rng = random.Random(20261020)
+    decomposed = []
+    real = rep_a2.slice_generators
+    monkeypatch.setattr(rep_a2, "slice_generators",
+                        lambda *args: decomposed.append(args) or real(*args))
+    seen = {"order_n": 0, "order_below_n": 0, "non_phantom": 0, "reordered": 0,
+            "unchecked_order_n": 0}
+    for _ in range(2500):
+        rep, lower, upper = _random_slice(rng)
+        below, gens = lower.s1.generators, upper.s1.generators
+        if len(gens) != len(below) + 1:
+            continue
+        n = rep.ring.modulus
+        e = upper.s1.cardinality // lower.s1.cardinality
+        expected = _decomposition_witness(rep, lower, upper)
+        del decomposed[:]
+        assert slice_phantom_witness(lower, upper) == expected
+        assert (decomposed != []) == (expected is not None)
+        seen["order_n"] += e == n
+        seen["order_below_n"] += 1 < e < n
+        seen["non_phantom"] += expected is not None
+        if (gens[-1:] + below)[:len(below)] != below:
+            reordered = SubRep(rep, Submodule(rep.m1, gens[-1:] + below), upper.s2)
+            del decomposed[:]
+            assert slice_phantom_witness(lower, reordered) == expected
+            assert decomposed == [(lower.s1, reordered.s1)]
+            seen["reordered"] += expected is not None
+        if e == n:
+            unchecked = SubRep(rep, upper.s1, lower.s2, len(gens))
+            expected = _decomposition_witness(rep, lower, unchecked)
+            assert slice_phantom_witness(lower, unchecked) == expected
+            seen["unchecked_order_n"] += expected is not None
+    assert min(seen["order_n"], seen["order_below_n"]) >= 100, seen
+    assert min(seen["non_phantom"], seen["reordered"], seen["unchecked_order_n"]) >= 30, seen
 
 
 def test_slice_outside_upper_raises():

@@ -87,7 +87,7 @@ def test_raising_sample_is_recorded_and_the_rest_still_run(monkeypatch):
 PRODUCTION = ("exact_linalg", "finmod", "ideals", "approx", "rep_a2", "filtration",
               "manifest", "cli")
 CROSS_CHECK_ROUTES = {"solve_mod", "solution_space_mod", "determinant", "element_preimage",
-                      "multiplication_map", "is_direct_summand"}
+                      "multiplication_map", "is_direct_summand", "mediating_by_solver"}
 
 
 def test_production_modules_name_no_cross_check_route():
@@ -102,3 +102,12 @@ def test_production_modules_name_no_cross_check_route():
         named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for alias in node.names}
         assert not named & CROSS_CHECK_ROUTES, module
+
+
+def test_suite_builds_no_congruence_system():
+    # the suite's second routes live in oracles.py: verify.py imports no
+    # private system encoder of finmod
+    tree = ast.parse((Path(phantomcover.__file__).parent / "verify.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_element_system" not in imported
