@@ -692,13 +692,13 @@ def is_automorphism(f: ModuleMorphism) -> bool:
 def _left_factor_system(g: ModuleMorphism, dq: int,
                         y: Sequence[int]) -> tuple[IntMatrix, list[int]]:
     """x in g.source with g(x) == y and dq * x == 0: the congruences of g
-    mod the target factors, then one annihilation row per source factor."""
+    mod the target factors, then an annihilation row for each source factor
+    d_p not dividing dq (scaled to Z/n, the row of any other d_p is zero)."""
     src = g.source
-    cols = [g.column(p) + tuple(dq if pp == p else 0 for pp in range(src.rank))
-            for p in range(src.rank)]
-    return _element_system(src.ring.modulus,
-                           g.target.invariant_factors + src.invariant_factors,
-                           cols, tuple(y) + (0,) * src.rank)
+    kept = [p for p, d in enumerate(src.invariant_factors) if dq % d]
+    cols = [g.column(p) + tuple(dq if pp == p else 0 for pp in kept) for p in range(src.rank)]
+    moduli = g.target.invariant_factors + tuple(src.invariant_factors[p] for p in kept)
+    return _element_system(src.ring.modulus, moduli, cols, tuple(y) + (0,) * len(kept))
 
 
 @lru_cache(maxsize=None)
@@ -723,7 +723,9 @@ def _lift_column(g: ModuleMorphism, dq: int, y: tuple[int, ...]) -> Optional[tup
     `torsion_image(g, dq).contains(y)`.
     """
     src = g.source
-    sol = graph_solution(_lift_form(g, dq), _scaled(g.target, y) + (0,) * src.rank)
+    form = _lift_form(g, dq)
+    pad = form.width - g.target.rank - src.rank  # the annihilation rows kept
+    sol = graph_solution(form, _scaled(g.target, y) + (0,) * pad)
     if sol is None:
         return None
     x = src.reduce(sol)
@@ -769,7 +771,8 @@ def _kernel_column_gens(g: ModuleMorphism, dq: int) -> list[tuple[int, ...]]:
     `_lift_form(g, dq)` leading in the x block, each re-checked."""
     src = g.source
     gens = []
-    for v in graph_kernel(_lift_form(g, dq), g.target.rank + src.rank):
+    form = _lift_form(g, dq)
+    for v in graph_kernel(form, form.width - src.rank):
         x = src.reduce(v)
         if any(g.apply(x)) or any(src.smul(dq, x)):
             raise InternalConsistencyError("kernel generator fails annihilation check")
@@ -901,7 +904,7 @@ class Diagram:
             for (j2, k) in pairs:
                 if j == j2 and (i, k) not in le and i != k:
                     raise InputError(f"poset not transitively closed at ({i}, {j}, {k})")
-                if j == j2 and i != j and j != k and i != k:
+                if j == j2 and i != j and j != k:
                     left = compose(self._map(j, k), self._map(i, j))
                     if left != self._map(i, k):
                         raise InputError(f"non-functorial diagram at ({i}, {j}, {k})")
@@ -936,48 +939,47 @@ class Diagram:
 
 @dataclass(frozen=True)
 class Colimit:
+    """A finite directed colimit: the object at the greatest index `top`,
+    with the transition maps into it as structural maps."""
+
     module: FiniteModule
     structural: dict[str, ModuleMorphism]
-    _sum: DirectSum
-    _quotient: QuotientData
-    _order: tuple[str, ...]
+    top: str
 
 
 def directed_colimit(diagram: Diagram) -> Colimit:
-    """Colimit as the direct sum of all objects modulo the gluing relations
-    (x at i) - (g_ij(x) at j), with the structural maps."""
+    """Colimit of a finite directed diagram: its object at the greatest index."""
     diagram.validate()
+    return _colimit_at_top(diagram)
+
+
+def _colimit_at_top(diagram: Diagram) -> Colimit:
+    """The colimit of a validated diagram.  A finite directed index set has
+    a greatest index t (the first in sorted order that every other index
+    maps to) unless it is empty; t is terminal in the index category, so
+    the colimit is M_t with structural maps g_it and the identity at t."""
     names = sorted(diagram.objects)
-    ds = direct_sum([diagram.objects[nm] for nm in names])
-    inj = dict(zip(names, ds.injections))
-    s = ds.module
-    rels = []
-    for (i, j) in sorted(diagram.maps):
-        if i == j:
-            continue
-        g = diagram.maps[(i, j)]
-        for q in range(diagram.objects[i].rank):
-            left = inj[i].column(q)
-            right = inj[j].apply(g.column(q))
-            rels.append(s.sub(left, right))
-    qd = quotient_by(s, rels)
-    structural = {nm: compose(qd.projection, inj[nm]) for nm in names}
+    top = next((t for t in names if all(i == t or (i, t) in diagram.maps for i in names)), None)
+    if top is None:
+        raise InputError("directed_colimit needs at least one object")
+    structural = {nm: diagram._map(nm, top) for nm in names}
     for (i, j), g in diagram.maps.items():
         if compose(structural[j], g) != structural[i]:
             raise InternalConsistencyError("colimit structural maps do not commute")
-    return Colimit(qd.module, structural, ds, qd, tuple(names))
+    return Colimit(diagram.objects[top], structural, top)
 
 
 def colimit_mediating(colim: Colimit, cone: dict[str, ModuleMorphism]) -> ModuleMorphism:
-    """The unique morphism out of the colimit agreeing with a commuting cone."""
-    if set(cone) != set(colim._order):
+    """The unique morphism out of the colimit agreeing with a commuting
+    cone: its leg at the top index."""
+    if set(cone) != set(colim.structural):
         raise InputError("colimit_mediating: cone must cover every object")
     targets = {f.target for f in cone.values()}
     if len(targets) != 1:
         raise InputError("colimit_mediating: cone legs must share a target")
-    m = colim._quotient.induced(colim._sum.copair([cone[nm] for nm in colim._order]))
-    for nm in colim._order:
-        if compose(m, colim.structural[nm]) != cone[nm]:
+    m = cone[colim.top]
+    for nm, s in colim.structural.items():
+        if compose(m, s) != cone[nm]:
             raise InputError("colimit_mediating: cone does not commute with the diagram")
     return m
 

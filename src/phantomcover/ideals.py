@@ -23,10 +23,10 @@ from .finmod import (
     FiniteModule,
     ModuleMorphism,
     Ring,
+    _colimit_at_top,
     _element_system,
     colimit_mediating,
     compose,
-    directed_colimit,
     hom_group,
     indecomposable_projectives,
     solve_left_factor,
@@ -200,8 +200,8 @@ class SystemMorphism:
 def induced_colimit_morphism(system: SystemMorphism) -> tuple[ModuleMorphism, Colimit, Colimit]:
     """The morphism between colimits induced by a morphism of systems."""
     system.validate()
-    src_col = directed_colimit(system.source)
-    tgt_col = directed_colimit(system.target)
+    src_col = _colimit_at_top(system.source)
+    tgt_col = _colimit_at_top(system.target)
     cone = {nm: compose(tgt_col.structural[nm], system.components[nm])
             for nm in system.components}
     induced = colimit_mediating(src_col, cone)

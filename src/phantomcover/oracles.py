@@ -5,6 +5,7 @@ the production algorithm it checks."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 from operator import mul
@@ -14,14 +15,19 @@ from .approx import module_classes
 from .errors import InputError, InternalConsistencyError
 from .exact_linalg import IntMatrix, smith_normal_form, solve_mod
 from .finmod import (
+    Diagram,
+    DirectSum,
     FiniteModule,
     ModuleMorphism,
     Pushout,
+    QuotientData,
     Submodule,
     _element_system,
     compose,
+    direct_sum,
     hom_group,
     indecomposable_projectives,
+    quotient_by,
     subgroup_presentation,
 )
 from .ideals import ProjectiveFactorization, factors_through_projective, free_cover_epi
@@ -84,6 +90,46 @@ def mediating_by_solver(po: Pushout, a: ModuleMorphism,
             return None
         rows_out.append(sol)
     return ModuleMorphism(x, c_mod, tuple(tuple(r) for r in rows_out))
+
+
+@dataclass(frozen=True)
+class GluedColimit:
+    """A directed colimit presented as the direct sum of every object modulo
+    the gluing relations, with its structural maps."""
+
+    module: FiniteModule
+    structural: dict[str, ModuleMorphism]
+    _sum: DirectSum
+    _quotient: QuotientData
+    _order: tuple[str, ...]
+
+    def mediating(self, cone: dict[str, ModuleMorphism]) -> ModuleMorphism:
+        """The map out of the quotient induced by the copairing of the cone."""
+        if set(cone) != set(self._order):
+            raise InputError("mediating: cone must cover every object")
+        m = self._quotient.induced(self._sum.copair([cone[nm] for nm in self._order]))
+        for nm in self._order:
+            if compose(m, self.structural[nm]) != cone[nm]:
+                raise InputError("mediating: cone does not commute with the diagram")
+        return m
+
+
+def colimit_by_gluing(diagram: Diagram) -> GluedColimit:
+    """A second route to `directed_colimit`: the direct sum of all objects
+    modulo the relations (x at i) - (g_ij(x) at j), through `quotient_by`."""
+    diagram.validate()
+    names = sorted(diagram.objects)
+    ds = direct_sum([diagram.objects[nm] for nm in names])
+    inj = dict(zip(names, ds.injections))
+    rels = [ds.module.sub(inj[i].column(q), inj[j].apply(g.column(q)))
+            for (i, j), g in sorted(diagram.maps.items()) if i != j
+            for q in range(g.source.rank)]
+    qd = quotient_by(ds.module, rels)
+    structural = {nm: compose(qd.projection, inj[nm]) for nm in names}
+    for (i, j), g in diagram.maps.items():
+        if compose(structural[j], g) != structural[i]:
+            raise InternalConsistencyError("colimit structural maps do not commute")
+    return GluedColimit(qd.module, structural, ds, qd, tuple(names))
 
 
 def is_direct_summand(sub: Submodule) -> Optional[ModuleMorphism]:

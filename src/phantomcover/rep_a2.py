@@ -19,10 +19,11 @@ from .finmod import (
     QuotientData,
     Ring,
     Submodule,
+    _colimit_at_top,
     _scaled,
+    colimit_mediating,
     compose,
     direct_sum,
-    directed_colimit,
     purity_forms,
     quotient_by,
     slice_generators,
@@ -308,21 +309,17 @@ class RepColimit:
 
 
 def rep_colimit(diagram: RepDiagram) -> RepColimit:
-    """Componentwise directed colimit with the induced connecting morphism."""
+    """Componentwise directed colimit; the connecting morphism mediates the
+    cone of each f_i followed by the second component's structural map."""
     diagram.validate()
     d1, d2 = diagram.component_diagrams()
-    col1 = directed_colimit(d1)
-    col2 = directed_colimit(d2)
-    # connecting map: induced by f at each object followed by the second
-    # colimit's structural map there
-    names = col1._order
-    connecting = col1._quotient.induced(col1._sum.copair(
-        [compose(col2.structural[nm], diagram.objects[nm].f) for nm in names]))
+    col1 = _colimit_at_top(d1)
+    col2 = _colimit_at_top(d2)
+    connecting = colimit_mediating(col1, {
+        nm: compose(col2.structural[nm], r.f) for nm, r in diagram.objects.items()})
     rep = RepA2(col1.module, col2.module, connecting)
-    structural = {}
-    for nm in names:
-        structural[nm] = RepMorphism(diagram.objects[nm], rep,
-                                     col1.structural[nm], col2.structural[nm])
+    structural = {nm: RepMorphism(diagram.objects[nm], rep, s1, col2.structural[nm])
+                  for nm, s1 in col1.structural.items()}
     return RepColimit(rep, structural)
 
 

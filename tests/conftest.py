@@ -1,10 +1,12 @@
-"""Shared hypothesis strategies for modules, morphisms and submodules."""
+"""Shared hypothesis strategies for modules, morphisms and submodules, and
+shared fixtures."""
 
 from math import gcd
 
 import hypothesis.strategies as st
+import pytest
 
-from phantomcover.finmod import FiniteModule, ModuleMorphism, Ring, Submodule, factorize
+from phantomcover.finmod import Diagram, FiniteModule, ModuleMorphism, Ring, Submodule, factorize
 
 MODULI = [2, 3, 4, 6, 8, 9, 12]
 
@@ -175,3 +177,17 @@ def nonphantom_morphisms(draw, ring, max_card=16):
     return (compose(b.injections[0],
                     compose(ModuleMorphism.identity(zp), a.projections[0]))
             + compose(b.injections[1], compose(g, a.projections[1])))
+
+
+@pytest.fixture
+def diagram_validate_calls(monkeypatch):
+    """The diagrams `Diagram.validate` is called on, in call order."""
+    calls = []
+    real = Diagram.validate
+
+    def counted(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(Diagram, "validate", counted)
+    return calls

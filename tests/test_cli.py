@@ -215,6 +215,30 @@ def test_colimit_command(tmp_path, capsys):
     assert "m1_factors=4" in out and "m2_factors=4" in out
 
 
+TOP_CHAIN = """[manifest] version=1
+[ring] n=3
+[module A] factors=3
+[module B] factors=3,3
+[morphism z] from=A to=A rows=0
+[morphism f] from=B to=B rows=0,1;0,0
+[morphism d] from=A to=B rows=0;0
+[morphism s] from=A to=B rows=2;0
+[rep R0] f=z
+[rep R1] f=f
+[repmap t] from=R0 to=R1 d=d s=s
+"""
+
+
+def test_colimit_command_prints_the_top_representation(tmp_path, capsys):
+    # the colimit of a chain is its top representation, with R1's own map
+    path = tmp_path / "top.txt"
+    path.write_text(TOP_CHAIN, encoding="utf-8")
+    code, out = run(["colimit", "--input", str(path),
+                     "--chain", "R0,R1", "--maps", "t"], capsys)
+    assert code == 0
+    assert "f_rows=0,1;0,0" in out.splitlines()
+
+
 def test_random_rep_command(capsys, tmp_path):
     outfile = tmp_path / "rnd.txt"
     code, out = run(["random-rep", "--ring", "4", "--seed", "42",

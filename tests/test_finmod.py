@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import elements, modules, modules_with_submodule, morphisms, rings, submodules
-from phantomcover import finmod
+from phantomcover import finmod, rep_a2
 from phantomcover.errors import IllDefinedMorphismError, InputError, InternalConsistencyError
 from phantomcover.exact_linalg import (
     IntMatrix,
@@ -11,6 +13,7 @@ from phantomcover.exact_linalg import (
     solution_space_mod,
     solve_mod,
 )
+from phantomcover.filtration import FiltrationConfig, build_filtration
 from phantomcover.finmod import (
     Diagram,
     FiniteModule,
@@ -42,6 +45,7 @@ from phantomcover.finmod import (
 )
 from phantomcover.oracles import (
     additive_closure_mod,
+    colimit_by_gluing,
     exhaustive_homs,
     hom_count,
     integer_kernel_basis,
@@ -49,6 +53,8 @@ from phantomcover.oracles import (
     lowest_purification_witness,
     subgroup_elements,
 )
+from phantomcover.samplers import random_phantom_rep
+from phantomcover.verify import _random_phantom_ladder
 
 Z4 = Ring(4)
 Z12 = Ring(12)
@@ -439,7 +445,61 @@ def test_colimit_chain_with_top():
     d = Diagram.chain([a, b], [morph(a, b, [[2]])])
     col = directed_colimit(d)
     assert col.module.invariant_factors == (4,)
-    assert is_automorphism(col.structural["n1"])
+    assert col.top == "n1"
+    assert col.structural["n1"] == ModuleMorphism.identity(b)
+
+
+def test_colimit_of_an_automorphism_chain_is_its_top_object():
+    # Z/3 --(*2)--> Z/3: the colimit is the top object itself, with the
+    # identity there and the transition as the other structural map
+    m = mod(Ring(3), 3)
+    two = morph(m, m, [[2]])
+    col = directed_colimit(Diagram.chain([m, m], [two]))
+    assert col.module == m
+    assert col.structural == {"n0": two, "n1": ModuleMorphism.identity(m)}
+
+
+def test_colimit_of_a_functorial_two_cycle():
+    # a <-> b, *3 both ways over Z/4 (3 * 3 == 1): the indices form a
+    # preorder, and either maximal index presents the colimit
+    m = mod(Z4, 4)
+    three = morph(m, m, [[3]])
+    d = Diagram({"a": m, "b": m}, {("a", "b"): three, ("b", "a"): three})
+    col = directed_colimit(d)
+    assert col.module == m and col.top == "a"
+    assert col.structural == {"a": ModuleMorphism.identity(m), "b": three}
+    assert colimit_mediating(col, {"a": three, "b": ModuleMorphism.identity(m)}) == three
+
+
+def test_validation_checks_functoriality_through_a_two_cycle():
+    # a -> b by *3, b -> a by the identity: the round trip a -> b -> a is
+    # *3, not the identity loop at a
+    m = mod(Z4, 4)
+    d = Diagram({"a": m, "b": m},
+                {("a", "b"): morph(m, m, [[3]]), ("b", "a"): ModuleMorphism.identity(m)})
+    with pytest.raises(InputError, match=r"non-functorial diagram at \(a, b, a\)"):
+        d.validate()
+    with pytest.raises(InputError, match="non-functorial"):
+        directed_colimit(d)
+
+
+def test_colimit_of_no_objects_is_an_input_error():
+    with pytest.raises(InputError, match="at least one object"):
+        directed_colimit(Diagram({}, {}))
+
+
+def test_colimit_mediating_checks_the_cone():
+    m = mod(Z4, 4)
+    two = morph(m, m, [[2]])
+    one = ModuleMorphism.identity(m)
+    col = directed_colimit(Diagram.chain([m, m], [two]))
+    assert colimit_mediating(col, {"n0": two, "n1": one}) == one
+    with pytest.raises(InputError, match="cover every object"):
+        colimit_mediating(col, {"n1": one})
+    with pytest.raises(InputError, match="share a target"):
+        colimit_mediating(col, {"n0": morph(m, mod(Z4, 2), [[1]]), "n1": one})
+    with pytest.raises(InputError, match="does not commute"):
+        colimit_mediating(col, {"n0": one, "n1": one})
 
 
 def test_diagram_validation_reports_the_first_defect_in_sorted_order():
@@ -465,6 +525,71 @@ def test_colimit_rejects_nonfunctorial():
                  ("a", "c"): ModuleMorphism.identity(m)})
     with pytest.raises(InputError):
         directed_colimit(d)
+
+
+def _assert_gluing_agrees(diagram, cone):
+    """The top object against the gluing route: the same module, with the
+    gluing route's structural maps the top route's followed by
+    a = glued.structural[top], an automorphism, and the mediating maps of
+    the cone related by the same a."""
+    col = directed_colimit(diagram)
+    glued = colimit_by_gluing(diagram)
+    assert glued.module == col.module
+    a = glued.structural[col.top]
+    assert is_automorphism(a)
+    for nm, s in col.structural.items():
+        assert glued.structural[nm] == compose(a, s)
+    assert compose(glued.mediating(cone), a) == colimit_mediating(col, cone)
+    return a
+
+
+def _filtration_chain(rep, ring):
+    """The chain of a representation's filtration steps, with the inclusions
+    read back as left factors."""
+    filt = build_filtration(rep, FiltrationConfig(kappa=ring.modulus))
+    inner = [rep_a2.restrict_rep(s) for s in filt.steps]
+    reps = [r for r, _ in inner]
+    steps = [rep_a2.RepMorphism(reps[i], reps[i + 1],
+                                solve_left_factor(inner[i + 1][1].d, inner[i][1].d),
+                                solve_left_factor(inner[i + 1][1].s, inner[i][1].s))
+             for i in range(len(reps) - 1)]
+    return rep_a2.RepDiagram.chain(reps, steps)
+
+
+GLUING_RINGS = (2, 3, 4, 6, 8, 9, 12, 16, 36)
+
+
+def test_top_object_matches_the_gluing_route_on_phantom_ladders():
+    # `moved` counts the cases where the gluing route presents the colimit
+    # through a non-identity automorphism, the ones that tell the routes apart
+    moved = 0
+    for n in GLUING_RINGS:
+        ring = Ring(n)
+        for k in range(12):
+            system = _random_phantom_ladder(random.Random(7000 * n + k), ring)
+            tgt = directed_colimit(system.target)
+            cone = {nm: compose(tgt.structural[nm], f) for nm, f in system.components.items()}
+            for a in (_assert_gluing_agrees(system.source, cone),
+                      _assert_gluing_agrees(system.target, tgt.structural)):
+                moved += a != ModuleMorphism.identity(a.source)
+    assert moved
+
+
+def test_top_object_matches_the_gluing_route_on_filtration_chains():
+    moved = 0
+    for n in GLUING_RINGS:
+        ring = Ring(n)
+        for k in range(12):
+            rep = random_phantom_rep(random.Random(7000 * n + k).getrandbits(63), ring, 32)
+            diagram = _filtration_chain(rep, ring)
+            d1, d2 = diagram.component_diagrams()
+            col2 = directed_colimit(d2)
+            cone = {nm: compose(col2.structural[nm], r.f) for nm, r in diagram.objects.items()}
+            for a in (_assert_gluing_agrees(d1, cone), _assert_gluing_agrees(d2, col2.structural)):
+                moved += a != ModuleMorphism.identity(a.source)
+            top = diagram.objects[col2.top]
+            assert rep_a2.rep_colimit(diagram).rep == top
+    assert moved
 
 
 @settings(max_examples=40, deadline=None)
@@ -834,11 +959,22 @@ def test_left_factor_kernel_is_checked(monkeypatch, target, rows, order, fake):
         left_factor_kernel_columns(g, mod(Z4, order))
 
 
+def _untrimmed_left_factor_system(g, dq, y):
+    """x in g.source with g(x) == y and dq * x == 0, with one annihilation
+    row for every source factor, the zero rows of factors dividing dq kept."""
+    src = g.source
+    cols = [g.column(p) + tuple(dq if pp == p else 0 for pp in range(src.rank))
+            for p in range(src.rank)]
+    return finmod._element_system(src.ring.modulus,
+                                  g.target.invariant_factors + src.invariant_factors,
+                                  cols, tuple(y) + (0,) * src.rank)
+
+
 def _lift_by_one_system_per_column(g, psi):
     n = g.source.ring.modulus
     cols = []
     for q, d in enumerate(psi.source.invariant_factors):
-        sol = solve_mod(*finmod._left_factor_system(g, d, psi.column(q)), n)
+        sol = solve_mod(*_untrimmed_left_factor_system(g, d, psi.column(q)), n)
         if sol is None:
             return None
         cols.append(g.source.reduce(sol))
@@ -849,7 +985,7 @@ def _kernel_by_one_system_per_column(g, source):
     n = g.source.ring.modulus
     out = []
     for d in source.invariant_factors:
-        system, _ = finmod._left_factor_system(g, d, (0,) * g.target.rank)
+        system, _ = _untrimmed_left_factor_system(g, d, (0,) * g.target.rank)
         gens = (g.source.reduce(v) for v in solution_space_mod(system, n))
         out.append([x for x in gens if any(x)])
     return out
@@ -877,6 +1013,27 @@ def test_lifts_from_the_cached_form_match_one_system_per_column(data):
     for source in sources:
         assert (left_factor_kernel_columns(g, source)
                 == _kernel_by_one_system_per_column(g, source))
+    # the cached form keeps only the annihilation rows of the source
+    # factors that do not divide the order
+    for d in ring.divisors():
+        kept = sum(1 for dp in b.invariant_factors if d % dp)
+        assert finmod._lift_form(g, d).width == c.rank + kept + b.rank
+
+
+def test_lift_form_drops_the_zero_annihilation_rows():
+    # the phantom cover (Z/8)^3 -> Z/2 + Z/4 + Z/8 at order 8: every source
+    # factor divides 8, so the form is the bare graph of g, of width 6
+    z8 = Ring(8)
+    g = morph(mod(z8, 8, 8, 8), mod(z8, 2, 4, 8), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert finmod._lift_form(g, 8).width == 6
+    assert finmod._lift_form(g, 4).width == 9
+    system, rhs = finmod._left_factor_system(g, 8, (1, 1, 1))
+    assert (system.rows, system.cols, rhs) == (3, 3, [4, 2, 1])
+    assert solve_left_factor(g, g) == ModuleMorphism.identity(g.source)
+    for order in (mod(z8, 8), mod(z8, 4, 8)):
+        assert (left_factor_kernel_columns(g, order)
+                == _kernel_by_one_system_per_column(g, order))
+    assert left_factor_kernel_columns(g, mod(z8, 8)) == [[(2, 0, 0), (0, 4, 0)]]
 
 
 def test_image_and_kernel_submodules():

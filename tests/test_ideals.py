@@ -22,6 +22,7 @@ from phantomcover.ideals import (
     factors_through_projective,
     free_cover_epi,
     ideal_membership,
+    induced_colimit_morphism,
     is_phantom,
     projective_identity_ideal,
 )
@@ -216,6 +217,31 @@ def test_direct_limits_witness_for_zero_ideal():
     ok, induced = closed_under_direct_limits_check(
         MorphismIdeal.zero(Z4), _constant_system(f))
     assert ok and induced.is_zero
+
+
+def test_induced_colimit_morphism_validates_each_system_once(diagram_validate_calls):
+    free = mod(Z4, 4)
+    double = morph(free, free, [[2]])
+    system = SystemMorphism(Diagram.chain([free, free], [double]),
+                            Diagram.chain([free, free], [double]),
+                            {"n0": double, "n1": double})
+    induced, src_col, tgt_col = induced_colimit_morphism(system)
+    assert len(diagram_validate_calls) == 2
+    assert induced == double and src_col.top == tgt_col.top == "n1"
+
+
+def test_system_morphism_validate_alone_checks_both_systems():
+    m = mod(Z4, 4)
+    three = morph(m, m, [[3]])
+    ident = ModuleMorphism.identity(m)
+    cycle = Diagram({"a": m, "b": m}, {("a", "b"): three, ("b", "a"): ident})
+    good = Diagram({"a": m, "b": m}, {("a", "b"): ident, ("b", "a"): ident})
+    for src, tgt in ((cycle, good), (good, cycle)):
+        system = SystemMorphism(src, tgt, {"a": ident, "b": ident})
+        with pytest.raises(InputError, match=r"non-functorial diagram at \(a, b, a\)"):
+            system.validate()
+        with pytest.raises(InputError, match="non-functorial"):
+            induced_colimit_morphism(system)
 
 
 @settings(max_examples=25, deadline=None)

@@ -225,6 +225,40 @@ def test_rep_colimit_chain_of_subreps_reaches_top():
     assert is_automorphism(col.structural["n1"].s)
 
 
+def test_rep_colimit_is_the_top_representation():
+    # the top representation itself, with R1's own map: a gluing quotient
+    # could present the same colimit through an automorphism of B
+    ring = Ring(3)
+    a, b = mod(ring, 3), mod(ring, 3, 3)
+    r0 = RepA2(a, a, morph(a, a, [[0]]))
+    r1 = RepA2(b, b, morph(b, b, [[0, 1], [0, 0]]))
+    t = RepMorphism(r0, r1, morph(a, b, [[0], [0]]), morph(a, b, [[2], [0]]))
+    col = rep_colimit(RepDiagram.chain([r0, r1], [t]))
+    assert col.rep == r1
+    assert col.structural["n1"] == RepMorphism.identity(r1)
+    assert col.structural["n0"] == t
+
+
+def test_rep_colimit_validates_each_component_diagram_once(diagram_validate_calls):
+    rep = double_rep()
+    rep_colimit(RepDiagram.chain([rep, rep, rep], [RepMorphism.identity(rep)] * 2))
+    assert len(diagram_validate_calls) == 2
+
+
+def test_rep_diagram_validate_alone_checks_its_components():
+    # a -> b -> a composes to *3 on both components, not the identity loop
+    m = mod(Z4, 4)
+    rep = RepA2(m, m, morph(m, m, [[1]]))
+    three = morph(m, m, [[3]])
+    ident = ModuleMorphism.identity(m)
+    d = RepDiagram({"a": rep, "b": rep}, {("a", "b"): RepMorphism(rep, rep, three, three),
+                                          ("b", "a"): RepMorphism(rep, rep, ident, ident)})
+    with pytest.raises(InputError, match=r"non-functorial diagram at \(a, b, a\)"):
+        d.validate()
+    with pytest.raises(InputError, match="non-functorial"):
+        rep_colimit(d)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_rep_colimit_of_phantom_chain_stays_phantom(data):

@@ -87,7 +87,8 @@ def test_raising_sample_is_recorded_and_the_rest_still_run(monkeypatch):
 PRODUCTION = ("exact_linalg", "finmod", "ideals", "approx", "rep_a2", "filtration",
               "manifest", "cli")
 CROSS_CHECK_ROUTES = {"solve_mod", "solution_space_mod", "determinant", "element_preimage",
-                      "multiplication_map", "is_direct_summand", "mediating_by_solver"}
+                      "multiplication_map", "is_direct_summand", "mediating_by_solver",
+                      "colimit_by_gluing"}
 
 
 def test_production_modules_name_no_cross_check_route():
