@@ -220,12 +220,9 @@ def cmd_colimit(args) -> int:
     man = _read_manifest(args.input)
     rep_names = args.chain.split(",")
     map_names = args.maps.split(",") if args.maps else []
-    if len(map_names) != len(rep_names) - 1:
-        raise InputError("need one repmap fewer than chain entries")
     reps = [_lookup(man.reps, nm, "rep") for nm in rep_names]
     steps = [_lookup(man.repmaps, nm, "repmap") for nm in map_names]
-    diagram = _rep_a2.RepDiagram.chain(reps, steps)
-    col = _rep_a2.rep_colimit(diagram)
+    col = _rep_a2.rep_colimit(_rep_a2.RepDiagram(reps, steps))
     out = _manifest.Manifest(man.ring)
     out.add_rep("colimit", col.rep)
     _write_output(args.output, _manifest.serialize(out))

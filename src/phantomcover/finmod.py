@@ -881,105 +881,60 @@ def pushout_mediating(po: Pushout, a: ModuleMorphism, b: ModuleMorphism) -> Modu
 
 @dataclass
 class Diagram:
-    """A finite directed poset of modules with compatible transition maps.
+    """A finite chain M_0 -> M_1 -> ... -> M_(L-1) of modules: its objects
+    and the L - 1 steps between consecutive ones.  A chain is functorial by
+    construction, so a transition i -> j is the composite of the steps
+    between and is never stored."""
 
-    `maps[(i, j)]` is the transition M_i -> M_j for i <= j; identities are
-    implicit and composites must be present and consistent.
-    """
-
-    objects: dict[str, FiniteModule]
-    maps: dict[tuple[str, str], ModuleMorphism]
+    objects: Sequence[FiniteModule]
+    steps: Sequence[ModuleMorphism]
 
     def validate(self) -> None:
-        for (i, j), f in self.maps.items():
-            if i not in self.objects or j not in self.objects:
-                raise InputError(f"transition ({i}, {j}) references unknown object")
-            if f.source != self.objects[i] or f.target != self.objects[j]:
-                raise InputError(f"transition ({i}, {j}) has wrong endpoints")
-            if i == j and f != ModuleMorphism.identity(self.objects[i]):
-                raise InputError(f"loop at {i} must be the identity")
-        le = {(i, i) for i in self.objects} | {k for k in self.maps if k[0] != k[1]}
-        pairs = sorted(le)
-        for (i, j) in pairs:
-            for (j2, k) in pairs:
-                if j == j2 and (i, k) not in le and i != k:
-                    raise InputError(f"poset not transitively closed at ({i}, {j}, {k})")
-                if j == j2 and i != j and j != k:
-                    left = compose(self._map(j, k), self._map(i, j))
-                    if left != self._map(i, k):
-                        raise InputError(f"non-functorial diagram at ({i}, {j}, {k})")
-        names = sorted(self.objects)
-        for a in names:
-            for b in names:
-                if not any((a == c or (a, c) in le) and (b == c or (b, c) in le)
-                           for c in names):
-                    raise InputError(f"objects {a}, {b} have no upper bound")
-
-    def _map(self, i: str, j: str) -> ModuleMorphism:
-        if i == j:
-            return ModuleMorphism.identity(self.objects[i])
-        return self.maps[(i, j)]
-
-    @classmethod
-    def chain(cls, modules: Sequence[FiniteModule],
-              steps: Sequence[ModuleMorphism]) -> "Diagram":
-        """Linear diagram M_0 -> M_1 -> ... with composite transitions filled in."""
-        if len(steps) != len(modules) - 1:
-            raise InputError("chain needs one step fewer than objects")
-        names = [f"n{i}" for i in range(len(modules))]
-        objects = dict(zip(names, modules))
-        maps: dict[tuple[str, str], ModuleMorphism] = {}
-        for i in range(len(modules)):
-            acc = None
-            for j in range(i + 1, len(modules)):
-                acc = steps[j - 1] if acc is None else compose(steps[j - 1], acc)
-                maps[(names[i], names[j])] = acc
-        return cls(objects, maps)
+        if not self.objects:
+            raise InputError("a directed system needs at least one object")
+        if len(self.steps) != len(self.objects) - 1:
+            raise InputError("a chain needs one step fewer than objects")
+        for i, g in enumerate(self.steps):
+            if g.source != self.objects[i] or g.target != self.objects[i + 1]:
+                raise InputError(f"step {i} does not map object {i} to object {i + 1}")
 
 
 @dataclass(frozen=True)
 class Colimit:
-    """A finite directed colimit: the object at the greatest index `top`,
-    with the transition maps into it as structural maps."""
+    """A finite directed colimit: the last object of the chain, with the
+    transitions into it as structural maps, by position."""
 
     module: FiniteModule
-    structural: dict[str, ModuleMorphism]
-    top: str
+    structural: tuple[ModuleMorphism, ...]
 
 
 def directed_colimit(diagram: Diagram) -> Colimit:
-    """Colimit of a finite directed diagram: its object at the greatest index."""
+    """Colimit of a finite chain: its last object."""
     diagram.validate()
     return _colimit_at_top(diagram)
 
 
 def _colimit_at_top(diagram: Diagram) -> Colimit:
-    """The colimit of a validated diagram.  A finite directed index set has
-    a greatest index t (the first in sorted order that every other index
-    maps to) unless it is empty; t is terminal in the index category, so
-    the colimit is M_t with structural maps g_it and the identity at t."""
-    names = sorted(diagram.objects)
-    top = next((t for t in names if all(i == t or (i, t) in diagram.maps for i in names)), None)
-    if top is None:
-        raise InputError("directed_colimit needs at least one object")
-    structural = {nm: diagram._map(nm, top) for nm in names}
-    for (i, j), g in diagram.maps.items():
-        if compose(structural[j], g) != structural[i]:
-            raise InternalConsistencyError("colimit structural maps do not commute")
-    return Colimit(diagram.objects[top], structural, top)
+    """The colimit of a validated chain.  The last index t is terminal in
+    the index category, so the colimit is M_t with the identity at t; each
+    structural map below is the one above it after the step between, one
+    compose per step."""
+    structural = [ModuleMorphism.identity(diagram.objects[-1])]
+    for g in reversed(diagram.steps):
+        structural.append(compose(structural[-1], g))
+    return Colimit(diagram.objects[-1], tuple(reversed(structural)))
 
 
-def colimit_mediating(colim: Colimit, cone: dict[str, ModuleMorphism]) -> ModuleMorphism:
+def colimit_mediating(colim: Colimit, cone: Sequence[ModuleMorphism]) -> ModuleMorphism:
     """The unique morphism out of the colimit agreeing with a commuting
-    cone: its leg at the top index."""
-    if set(cone) != set(colim.structural):
+    cone, given by position: its leg at the top."""
+    if len(cone) != len(colim.structural):
         raise InputError("colimit_mediating: cone must cover every object")
-    targets = {f.target for f in cone.values()}
-    if len(targets) != 1:
+    if len({f.target for f in cone}) != 1:
         raise InputError("colimit_mediating: cone legs must share a target")
-    m = cone[colim.top]
-    for nm, s in colim.structural.items():
-        if compose(m, s) != cone[nm]:
+    m = cone[-1]
+    for s, leg in zip(colim.structural, cone):
+        if compose(m, s) != leg:
             raise InputError("colimit_mediating: cone does not commute with the diagram")
     return m
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InputError
 from .exact_linalg import howell_form
@@ -173,28 +173,24 @@ def _hom_subgroup_contains(span: list[ModuleMorphism], f: ModuleMorphism) -> boo
 
 @dataclass(frozen=True)
 class SystemMorphism:
-    """A morphism between two directed systems over the same index poset."""
+    """A morphism between two chains of the same length: one component per
+    position, natural along each step."""
 
     source: Diagram
     target: Diagram
-    components: dict[str, ModuleMorphism]
+    components: Sequence[ModuleMorphism]
 
     def validate(self) -> None:
         self.source.validate()
         self.target.validate()
-        if set(self.components) != set(self.source.objects):
-            raise InputError("system morphism must have one component per object")
-        if set(self.source.objects) != set(self.target.objects):
-            raise InputError("source and target systems must share their poset")
-        for nm, f in self.components.items():
-            if f.source != self.source.objects[nm] or f.target != self.target.objects[nm]:
-                raise InputError(f"component at {nm} has wrong endpoints")
-        for (i, j), g in self.source.maps.items():
-            if (i, j) not in self.target.maps and i != j:
-                raise InputError("posets of the two systems disagree")
-            h = self.target._map(i, j)
-            if compose(self.components[j], g) != compose(h, self.components[i]):
-                raise InputError(f"component squares do not commute at ({i}, {j})")
+        if not len(self.components) == len(self.source.objects) == len(self.target.objects):
+            raise InputError("system morphism needs one component per position of both chains")
+        for i, f in enumerate(self.components):
+            if f.source != self.source.objects[i] or f.target != self.target.objects[i]:
+                raise InputError(f"component {i} has wrong endpoints")
+        for i, (g, h) in enumerate(zip(self.source.steps, self.target.steps)):
+            if compose(self.components[i + 1], g) != compose(h, self.components[i]):
+                raise InputError(f"component square at step {i} does not commute")
 
 
 def induced_colimit_morphism(system: SystemMorphism) -> tuple[ModuleMorphism, Colimit, Colimit]:
@@ -202,10 +198,8 @@ def induced_colimit_morphism(system: SystemMorphism) -> tuple[ModuleMorphism, Co
     system.validate()
     src_col = _colimit_at_top(system.source)
     tgt_col = _colimit_at_top(system.target)
-    cone = {nm: compose(tgt_col.structural[nm], system.components[nm])
-            for nm in system.components}
-    induced = colimit_mediating(src_col, cone)
-    return induced, src_col, tgt_col
+    cone = [compose(s, f) for s, f in zip(tgt_col.structural, system.components)]
+    return colimit_mediating(src_col, cone), src_col, tgt_col
 
 
 def closed_under_direct_limits_check(

@@ -95,41 +95,40 @@ def mediating_by_solver(po: Pushout, a: ModuleMorphism,
 @dataclass(frozen=True)
 class GluedColimit:
     """A directed colimit presented as the direct sum of every object modulo
-    the gluing relations, with its structural maps."""
+    the gluing relations, with its structural maps by position."""
 
     module: FiniteModule
-    structural: dict[str, ModuleMorphism]
+    structural: tuple[ModuleMorphism, ...]
     _sum: DirectSum
     _quotient: QuotientData
-    _order: tuple[str, ...]
 
-    def mediating(self, cone: dict[str, ModuleMorphism]) -> ModuleMorphism:
+    def mediating(self, cone: Sequence[ModuleMorphism]) -> ModuleMorphism:
         """The map out of the quotient induced by the copairing of the cone."""
-        if set(cone) != set(self._order):
+        if len(cone) != len(self.structural):
             raise InputError("mediating: cone must cover every object")
-        m = self._quotient.induced(self._sum.copair([cone[nm] for nm in self._order]))
-        for nm in self._order:
-            if compose(m, self.structural[nm]) != cone[nm]:
+        m = self._quotient.induced(self._sum.copair(cone))
+        for s, leg in zip(self.structural, cone):
+            if compose(m, s) != leg:
                 raise InputError("mediating: cone does not commute with the diagram")
         return m
 
 
 def colimit_by_gluing(diagram: Diagram) -> GluedColimit:
     """A second route to `directed_colimit`: the direct sum of all objects
-    modulo the relations (x at i) - (g_ij(x) at j), through `quotient_by`."""
+    modulo the relations (x at i) - (g_i(x) at i + 1) along each step g_i,
+    through `quotient_by`.  They span the relations along every composite:
+    (x at i) - (g(x) at j) telescopes into step relations."""
     diagram.validate()
-    names = sorted(diagram.objects)
-    ds = direct_sum([diagram.objects[nm] for nm in names])
-    inj = dict(zip(names, ds.injections))
-    rels = [ds.module.sub(inj[i].column(q), inj[j].apply(g.column(q)))
-            for (i, j), g in sorted(diagram.maps.items()) if i != j
-            for q in range(g.source.rank)]
+    ds = direct_sum(diagram.objects)
+    inj = ds.injections
+    rels = [ds.module.sub(inj[i].column(q), inj[i + 1].apply(g.column(q)))
+            for i, g in enumerate(diagram.steps) for q in range(g.source.rank)]
     qd = quotient_by(ds.module, rels)
-    structural = {nm: compose(qd.projection, inj[nm]) for nm in names}
-    for (i, j), g in diagram.maps.items():
-        if compose(structural[j], g) != structural[i]:
+    structural = tuple(compose(qd.projection, j) for j in inj)
+    for i, g in enumerate(diagram.steps):
+        if compose(structural[i + 1], g) != structural[i]:
             raise InternalConsistencyError("colimit structural maps do not commute")
-    return GluedColimit(qd.module, structural, ds, qd, tuple(names))
+    return GluedColimit(qd.module, structural, ds, qd)
 
 
 def is_direct_summand(sub: Submodule) -> Optional[ModuleMorphism]:

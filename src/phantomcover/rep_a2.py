@@ -267,45 +267,30 @@ def _quotient_rep_data(sub: SubRep) -> tuple[RepA2, RepMorphism, QuotientData, Q
 
 @dataclass
 class RepDiagram:
-    """A finite directed poset of representations with commuting-square maps."""
+    """A finite chain R_0 -> ... -> R_(L-1) of representations: its objects
+    and the L - 1 commuting squares between consecutive ones."""
 
-    objects: dict[str, RepA2]
-    maps: dict[tuple[str, str], RepMorphism]
+    objects: Sequence[RepA2]
+    steps: Sequence[RepMorphism]
 
     def component_diagrams(self) -> tuple[Diagram, Diagram]:
-        d1 = Diagram({nm: r.m1 for nm, r in self.objects.items()},
-                     {k: rm.d for k, rm in self.maps.items()})
-        d2 = Diagram({nm: r.m2 for nm, r in self.objects.items()},
-                     {k: rm.s for k, rm in self.maps.items()})
-        return d1, d2
+        return (Diagram([r.m1 for r in self.objects], [t.d for t in self.steps]),
+                Diagram([r.m2 for r in self.objects], [t.s for t in self.steps]))
 
     def validate(self) -> None:
-        for (i, j), rm in self.maps.items():
-            if rm.source != self.objects[i] or rm.target != self.objects[j]:
-                raise InputError(f"representation map ({i}, {j}) has wrong endpoints")
         d1, d2 = self.component_diagrams()
         d1.validate()
         d2.validate()
-
-    @classmethod
-    def chain(cls, reps, steps) -> "RepDiagram":
-        if len(steps) != len(reps) - 1:
-            raise InputError("chain needs one step fewer than objects")
-        names = [f"n{i}" for i in range(len(reps))]
-        objects = dict(zip(names, reps))
-        maps: dict[tuple[str, str], RepMorphism] = {}
-        for i in range(len(reps)):
-            acc = None
-            for j in range(i + 1, len(reps)):
-                acc = steps[j - 1] if acc is None else compose_rep(steps[j - 1], acc)
-                maps[(names[i], names[j])] = acc
-        return cls(objects, maps)
+        for i, t in enumerate(self.steps):
+            if t.source != self.objects[i] or t.target != self.objects[i + 1]:
+                raise InputError(
+                    f"representation step {i} does not map object {i} to object {i + 1}")
 
 
 @dataclass(frozen=True)
 class RepColimit:
     rep: RepA2
-    structural: dict[str, RepMorphism]
+    structural: tuple[RepMorphism, ...]
 
 
 def rep_colimit(diagram: RepDiagram) -> RepColimit:
@@ -315,11 +300,11 @@ def rep_colimit(diagram: RepDiagram) -> RepColimit:
     d1, d2 = diagram.component_diagrams()
     col1 = _colimit_at_top(d1)
     col2 = _colimit_at_top(d2)
-    connecting = colimit_mediating(col1, {
-        nm: compose(col2.structural[nm], r.f) for nm, r in diagram.objects.items()})
+    connecting = colimit_mediating(col1, [
+        compose(s2, r.f) for s2, r in zip(col2.structural, diagram.objects)])
     rep = RepA2(col1.module, col2.module, connecting)
-    structural = {nm: RepMorphism(diagram.objects[nm], rep, s1, col2.structural[nm])
-                  for nm, s1 in col1.structural.items()}
+    structural = tuple(RepMorphism(r, rep, s1, s2) for r, s1, s2
+                       in zip(diagram.objects, col1.structural, col2.structural))
     return RepColimit(rep, structural)
 
 

@@ -218,10 +218,10 @@ def prop_pushout_universal(chk, rng, ring):
 def prop_colimit_constant(chk, rng, ring):
     m = _s.random_module(rng, ring, 16)
     ident = ModuleMorphism.identity(m)
-    col = directed_colimit(Diagram.chain([m, m, m], [ident, ident]))
+    col = directed_colimit(Diagram([m, m, m], [ident, ident]))
     chk.ensure(col.module == m, "constant colimit is not the object", obj=m)
     gens = []
-    for s in col.structural.values():
+    for s in col.structural:
         gens.extend(s.column(j) for j in range(s.source.rank))
     chk.ensure(Submodule(col.module, tuple(gens)).cardinality == col.module.cardinality,
                "structural maps not jointly epic", obj=m)
@@ -312,10 +312,8 @@ def _random_phantom_ladder(rng, ring):
             sources.append(ds_src.module)
             targets.append(ds_tgt.module)
             comps.append(block)
-    src = Diagram.chain(sources, src_steps)
-    tgt = Diagram.chain(targets, tgt_steps)
-    names = [f"n{i}" for i in range(len(sources))]
-    return _ideals.SystemMorphism(src, tgt, dict(zip(names, comps)))
+    return _ideals.SystemMorphism(Diagram(sources, src_steps),
+                                  Diagram(targets, tgt_steps), comps)
 
 
 def prop_closed_under_direct_limits(chk, rng, ring):
@@ -351,8 +349,8 @@ def prop_chain_union_top(chk, rng, ring):
             chk.fail("chain embeddings do not factor", target=rep)
             return
         steps.append(_rep_a2.RepMorphism(reps[i], reps[i + 1], d, s))
-    col = _rep_a2.rep_colimit(_rep_a2.RepDiagram.chain(reps, steps))
-    top = col.structural[f"n{len(reps) - 1}"]
+    col = _rep_a2.rep_colimit(_rep_a2.RepDiagram(reps, steps))
+    top = col.structural[-1]
     chk.ensure(col.rep.m1 == rep.m1 and col.rep.m2 == rep.m2
                and is_automorphism(top.d) and is_automorphism(top.s),
                "directed union of the chain is not the representation", target=rep)

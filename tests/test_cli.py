@@ -239,6 +239,21 @@ def test_colimit_command_prints_the_top_representation(tmp_path, capsys):
     assert "f_rows=0,1;0,0" in out.splitlines()
 
 
+@pytest.mark.parametrize("chain, maps, step", [
+    ("R1,R0", "t", 0),
+    ("R0,R1,R1", "t,t", 1),
+], ids=["two-objects", "three-objects"])
+def test_colimit_command_names_the_mismatched_step(tmp_path, capsys, chain, maps, step):
+    # t runs R0 -> R1, so it cannot be the step from R1 at either position
+    path = tmp_path / "top.txt"
+    path.write_text(TOP_CHAIN, encoding="utf-8")
+    assert main(["colimit", "--input", str(path), "--chain", chain, "--maps", maps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error=input detail=step {step} does not map "
+                            f"object {step} to object {step + 1}\n")
+
+
 def test_random_rep_command(capsys, tmp_path):
     outfile = tmp_path / "rnd.txt"
     code, out = run(["random-rep", "--ring", "4", "--seed", "42",

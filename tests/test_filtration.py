@@ -258,10 +258,10 @@ def test_filtration_colimit_recovers_target(data):
         s = solve_left_factor(inner[i + 1][1].s, inner[i][1].s)
         assert d is not None and s is not None
         steps.append(RepMorphism(reps[i], reps[i + 1], d, s))
-    col = rep_colimit(RepDiagram.chain(reps, steps))
+    col = rep_colimit(RepDiagram(reps, steps))
     assert col.rep.m1.invariant_factors == rep.m1.invariant_factors
     assert col.rep.m2.invariant_factors == rep.m2.invariant_factors
-    top = col.structural[f"n{len(reps) - 1}"]
+    top = col.structural[-1]
     assert is_automorphism(top.d) and is_automorphism(top.s)
 
 

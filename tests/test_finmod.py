@@ -1,11 +1,12 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import elements, modules, modules_with_submodule, morphisms, rings, submodules
-from phantomcover import finmod, rep_a2
+from phantomcover import finmod, ideals, rep_a2
 from phantomcover.errors import IllDefinedMorphismError, InputError, InternalConsistencyError
 from phantomcover.exact_linalg import (
     IntMatrix,
@@ -424,16 +425,16 @@ def test_pushout_universal_property(data):
 
 def test_colimit_single_object():
     m = mod(Z4, 2, 4)
-    d = Diagram({"a": m}, {})
+    d = Diagram([m], [])
     col = directed_colimit(d)
     assert col.module.invariant_factors == m.invariant_factors
-    assert is_automorphism(col.structural["a"])
+    assert is_automorphism(col.structural[0])
 
 
 def test_colimit_identity_chain():
     m = mod(Z4, 4)
-    d = Diagram.chain([m, m, m],
-                      [ModuleMorphism.identity(m), ModuleMorphism.identity(m)])
+    d = Diagram([m, m, m],
+                [ModuleMorphism.identity(m), ModuleMorphism.identity(m)])
     col = directed_colimit(d)
     assert col.module.invariant_factors == m.invariant_factors
 
@@ -442,11 +443,10 @@ def test_colimit_chain_with_top():
     # Z/2 --(*2)--> Z/4 over Z/4: the colimit of a two-object chain is its top
     a = mod(Z4, 2)
     b = mod(Z4, 4)
-    d = Diagram.chain([a, b], [morph(a, b, [[2]])])
+    d = Diagram([a, b], [morph(a, b, [[2]])])
     col = directed_colimit(d)
     assert col.module.invariant_factors == (4,)
-    assert col.top == "n1"
-    assert col.structural["n1"] == ModuleMorphism.identity(b)
+    assert col.structural[-1] == ModuleMorphism.identity(b)
 
 
 def test_colimit_of_an_automorphism_chain_is_its_top_object():
@@ -454,77 +454,82 @@ def test_colimit_of_an_automorphism_chain_is_its_top_object():
     # identity there and the transition as the other structural map
     m = mod(Ring(3), 3)
     two = morph(m, m, [[2]])
-    col = directed_colimit(Diagram.chain([m, m], [two]))
+    col = directed_colimit(Diagram([m, m], [two]))
     assert col.module == m
-    assert col.structural == {"n0": two, "n1": ModuleMorphism.identity(m)}
+    assert col.structural == (two, ModuleMorphism.identity(m))
 
 
-def test_colimit_of_a_functorial_two_cycle():
-    # a <-> b, *3 both ways over Z/4 (3 * 3 == 1): the indices form a
-    # preorder, and either maximal index presents the colimit
-    m = mod(Z4, 4)
-    three = morph(m, m, [[3]])
-    d = Diagram({"a": m, "b": m}, {("a", "b"): three, ("b", "a"): three})
-    col = directed_colimit(d)
-    assert col.module == m and col.top == "a"
-    assert col.structural == {"a": ModuleMorphism.identity(m), "b": three}
-    assert colimit_mediating(col, {"a": three, "b": ModuleMorphism.identity(m)}) == three
-
-
-def test_validation_checks_functoriality_through_a_two_cycle():
-    # a -> b by *3, b -> a by the identity: the round trip a -> b -> a is
-    # *3, not the identity loop at a
-    m = mod(Z4, 4)
-    d = Diagram({"a": m, "b": m},
-                {("a", "b"): morph(m, m, [[3]]), ("b", "a"): ModuleMorphism.identity(m)})
-    with pytest.raises(InputError, match=r"non-functorial diagram at \(a, b, a\)"):
-        d.validate()
-    with pytest.raises(InputError, match="non-functorial"):
-        directed_colimit(d)
+def test_colimit_structural_maps_are_the_composites_of_the_steps():
+    # Z/8 --(*2)--> Z/8 --(*3)--> Z/8 --(*5)--> Z/8: the map from position
+    # i is the product of the scalars above it
+    m = mod(Ring(8), 8)
+    col = directed_colimit(Diagram([m] * 4, [morph(m, m, [[c]]) for c in (2, 3, 5)]))
+    assert col.structural == tuple(morph(m, m, [[c]]) for c in (30 % 8, 15, 5, 1))
 
 
 def test_colimit_of_no_objects_is_an_input_error():
     with pytest.raises(InputError, match="at least one object"):
-        directed_colimit(Diagram({}, {}))
+        directed_colimit(Diagram([], []))
+
+
+def test_diagram_validation_names_the_offending_step():
+    a, b = mod(Z4, 2), mod(Z4, 4)
+    up = morph(a, b, [[2]])
+    one = ModuleMorphism.identity(b)
+    with pytest.raises(InputError, match="one step fewer than objects"):
+        Diagram([a, b], []).validate()
+    with pytest.raises(InputError, match="step 0 does not map object 0 to object 1"):
+        Diagram([b, b], [up]).validate()
+    with pytest.raises(InputError, match="step 1 does not map object 1 to object 2"):
+        directed_colimit(Diagram([a, b, b], [up, up]))
+    Diagram([a, b, b], [up, one]).validate()
 
 
 def test_colimit_mediating_checks_the_cone():
     m = mod(Z4, 4)
     two = morph(m, m, [[2]])
     one = ModuleMorphism.identity(m)
-    col = directed_colimit(Diagram.chain([m, m], [two]))
-    assert colimit_mediating(col, {"n0": two, "n1": one}) == one
+    col = directed_colimit(Diagram([m, m], [two]))
+    assert colimit_mediating(col, [two, one]) == one
     with pytest.raises(InputError, match="cover every object"):
-        colimit_mediating(col, {"n1": one})
+        colimit_mediating(col, [one])
     with pytest.raises(InputError, match="share a target"):
-        colimit_mediating(col, {"n0": morph(m, mod(Z4, 2), [[1]]), "n1": one})
+        colimit_mediating(col, [morph(m, mod(Z4, 2), [[1]]), one])
     with pytest.raises(InputError, match="does not commute"):
-        colimit_mediating(col, {"n0": one, "n1": one})
+        colimit_mediating(col, [one, one])
 
 
-def test_diagram_validation_reports_the_first_defect_in_sorted_order():
-    m = mod(Z4, 4)
-    one = ModuleMorphism.identity(m)
-    two = morph(m, m, [[2]])
-    unclosed = Diagram({"a": m, "b": m, "c": m, "d": m},
-                       {("a", "b"): one, ("b", "d"): one, ("b", "c"): one})
-    with pytest.raises(InputError, match=r"not transitively closed at \(a, b, c\)"):
-        unclosed.validate()
-    nonfunctorial = Diagram({"a": m, "b": m, "c": m, "d": m}, {
-        ("a", "b"): one, ("a", "c"): one, ("a", "d"): one,
-        ("b", "c"): two, ("b", "d"): two})
-    with pytest.raises(InputError, match=r"non-functorial diagram at \(a, b, c\)"):
-        nonfunctorial.validate()
+def test_long_chains_cost_a_constant_number_of_composes_per_step(monkeypatch):
+    # 256 objects of Z/2 + Z/8 with *3 steps and *2 components: a colimit,
+    # a representation colimit and an induced morphism each compose a
+    # bounded number of times per position, wherever compose is called from
+    L = 256
+    real = finmod.compose
+    calls = 0
 
+    def counted(g, f):
+        nonlocal calls
+        calls += 1
+        return real(g, f)
 
-def test_colimit_rejects_nonfunctorial():
-    m = mod(Z4, 4)
-    f = morph(m, m, [[2]])
-    d = Diagram({"a": m, "b": m, "c": m},
-                {("a", "b"): f, ("b", "c"): f,
-                 ("a", "c"): ModuleMorphism.identity(m)})
-    with pytest.raises(InputError):
-        directed_colimit(d)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phantomcover.") and getattr(module, "compose", None) is real:
+            monkeypatch.setattr(module, "compose", counted)
+    m = mod(Ring(8), 2, 8)
+    three = morph(m, m, [[3, 0], [0, 3]])
+    two = morph(m, m, [[2, 0], [0, 2]])
+    chain = Diagram([m] * L, [three] * (L - 1))
+    col = directed_colimit(chain)
+    rep = rep_a2.RepA2(m, m, two)
+    rep_col = rep_a2.rep_colimit(rep_a2.RepDiagram(
+        [rep] * L, [rep_a2.RepMorphism(rep, rep, three, three)] * (L - 1)))
+    induced, _, _ = ideals.induced_colimit_morphism(
+        ideals.SystemMorphism(chain, chain, [two] * L))
+    assert calls <= 16 * L
+    # 3 * 3 == 1 mod 8, so the composites into the top alternate
+    assert col.structural == (three, ModuleMorphism.identity(m)) * (L // 2)
+    assert rep_col.rep == rep and rep_col.structural[0].d == three
+    assert induced == two
 
 
 def _assert_gluing_agrees(diagram, cone):
@@ -535,10 +540,10 @@ def _assert_gluing_agrees(diagram, cone):
     col = directed_colimit(diagram)
     glued = colimit_by_gluing(diagram)
     assert glued.module == col.module
-    a = glued.structural[col.top]
+    a = glued.structural[-1]
     assert is_automorphism(a)
-    for nm, s in col.structural.items():
-        assert glued.structural[nm] == compose(a, s)
+    for g, s in zip(glued.structural, col.structural, strict=True):
+        assert g == compose(a, s)
     assert compose(glued.mediating(cone), a) == colimit_mediating(col, cone)
     return a
 
@@ -553,7 +558,7 @@ def _filtration_chain(rep, ring):
                                 solve_left_factor(inner[i + 1][1].d, inner[i][1].d),
                                 solve_left_factor(inner[i + 1][1].s, inner[i][1].s))
              for i in range(len(reps) - 1)]
-    return rep_a2.RepDiagram.chain(reps, steps)
+    return rep_a2.RepDiagram(reps, steps)
 
 
 GLUING_RINGS = (2, 3, 4, 6, 8, 9, 12, 16, 36)
@@ -568,7 +573,7 @@ def test_top_object_matches_the_gluing_route_on_phantom_ladders():
         for k in range(12):
             system = _random_phantom_ladder(random.Random(7000 * n + k), ring)
             tgt = directed_colimit(system.target)
-            cone = {nm: compose(tgt.structural[nm], f) for nm, f in system.components.items()}
+            cone = [compose(s, f) for s, f in zip(tgt.structural, system.components)]
             for a in (_assert_gluing_agrees(system.source, cone),
                       _assert_gluing_agrees(system.target, tgt.structural)):
                 moved += a != ModuleMorphism.identity(a.source)
@@ -584,11 +589,10 @@ def test_top_object_matches_the_gluing_route_on_filtration_chains():
             diagram = _filtration_chain(rep, ring)
             d1, d2 = diagram.component_diagrams()
             col2 = directed_colimit(d2)
-            cone = {nm: compose(col2.structural[nm], r.f) for nm, r in diagram.objects.items()}
+            cone = [compose(s, r.f) for s, r in zip(col2.structural, diagram.objects)]
             for a in (_assert_gluing_agrees(d1, cone), _assert_gluing_agrees(d2, col2.structural)):
                 moved += a != ModuleMorphism.identity(a.source)
-            top = diagram.objects[col2.top]
-            assert rep_a2.rep_colimit(diagram).rep == top
+            assert rep_a2.rep_colimit(diagram).rep == diagram.objects[-1]
     assert moved
 
 
@@ -598,20 +602,19 @@ def test_colimit_constant_diagram_and_joint_epi(data):
     ring = data.draw(rings())
     m = data.draw(modules(ring, max_card=16, max_rank=2))
     idm = ModuleMorphism.identity(m)
-    d = Diagram.chain([m, m], [idm])
+    d = Diagram([m, m], [idm])
     col = directed_colimit(d)
     assert col.module.invariant_factors == m.invariant_factors
     gens = []
-    for s in col.structural.values():
+    for s in col.structural:
         gens.extend(s.column(j) for j in range(s.source.rank))
     assert Submodule(col.module, tuple(gens)).cardinality == col.module.cardinality
     # mediating morphism against the cone of the original identities
-    cone = {nm: compose(data.draw(morphisms(m, m)), col.structural[nm])
-            for nm in col.structural}
-    if cone["n0"] == cone["n1"]:
+    cone = [compose(data.draw(morphisms(m, m)), s) for s in col.structural]
+    if cone[0] == cone[1]:
         med = colimit_mediating(col, cone)
-        for nm in cone:
-            assert compose(med, col.structural[nm]) == cone[nm]
+        for s, leg in zip(col.structural, cone):
+            assert compose(med, s) == leg
 
 
 # --- projectivity -----------------------------------------------------------

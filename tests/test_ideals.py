@@ -178,9 +178,7 @@ def test_phantom_tag_agrees_with_projective_identities(data):
 
 
 def _constant_system(f):
-    src = Diagram({"a": f.source}, {})
-    tgt = Diagram({"a": f.target}, {})
-    return SystemMorphism(src, tgt, {"a": f})
+    return SystemMorphism(Diagram([f.source], []), Diagram([f.target], []), [f])
 
 
 def test_direct_limits_one_object():
@@ -194,11 +192,10 @@ def test_direct_limits_one_object():
 def test_direct_limits_chain_of_phantoms():
     free = mod(Z4, 4)
     double = morph(free, free, [[2]])
-    src = Diagram.chain([free, free], [double])
-    tgt = Diagram.chain([free, free], [double])
-    components = {"n0": double, "n1": double}
+    src = Diagram([free, free], [double])
+    tgt = Diagram([free, free], [double])
     ok, induced = closed_under_direct_limits_check(
-        MorphismIdeal.phantom(Z4), SystemMorphism(src, tgt, components))
+        MorphismIdeal.phantom(Z4), SystemMorphism(src, tgt, [double, double]))
     assert ok and is_phantom(induced)
 
 
@@ -222,26 +219,40 @@ def test_direct_limits_witness_for_zero_ideal():
 def test_induced_colimit_morphism_validates_each_system_once(diagram_validate_calls):
     free = mod(Z4, 4)
     double = morph(free, free, [[2]])
-    system = SystemMorphism(Diagram.chain([free, free], [double]),
-                            Diagram.chain([free, free], [double]),
-                            {"n0": double, "n1": double})
+    system = SystemMorphism(Diagram([free, free], [double]),
+                            Diagram([free, free], [double]),
+                            [double, double])
     induced, src_col, tgt_col = induced_colimit_morphism(system)
     assert len(diagram_validate_calls) == 2
-    assert induced == double and src_col.top == tgt_col.top == "n1"
+    assert induced == double
+    assert src_col.structural == tgt_col.structural == (double, ModuleMorphism.identity(free))
 
 
 def test_system_morphism_validate_alone_checks_both_systems():
-    m = mod(Z4, 4)
-    three = morph(m, m, [[3]])
+    # a step Z/2 -> Z/4 placed between two copies of Z/4 breaks either chain
+    m, two = mod(Z4, 4), mod(Z4, 2)
     ident = ModuleMorphism.identity(m)
-    cycle = Diagram({"a": m, "b": m}, {("a", "b"): three, ("b", "a"): ident})
-    good = Diagram({"a": m, "b": m}, {("a", "b"): ident, ("b", "a"): ident})
-    for src, tgt in ((cycle, good), (good, cycle)):
-        system = SystemMorphism(src, tgt, {"a": ident, "b": ident})
-        with pytest.raises(InputError, match=r"non-functorial diagram at \(a, b, a\)"):
+    bad = Diagram([m, m], [morph(two, m, [[2]])])
+    good = Diagram([m, m], [ident])
+    for src, tgt in ((bad, good), (good, bad)):
+        system = SystemMorphism(src, tgt, [ident, ident])
+        with pytest.raises(InputError, match="step 0 does not map object 0 to object 1"):
             system.validate()
-        with pytest.raises(InputError, match="non-functorial"):
+        with pytest.raises(InputError, match="step 0 does not map"):
             induced_colimit_morphism(system)
+
+
+def test_system_morphism_checks_components_and_squares_by_position():
+    m = mod(Z4, 4)
+    ident = ModuleMorphism.identity(m)
+    three = morph(m, m, [[3]])
+    chain = Diagram([m, m, m], [ident, ident])
+    with pytest.raises(InputError, match="one component per position"):
+        SystemMorphism(chain, chain, [ident, ident]).validate()
+    with pytest.raises(InputError, match="component 1 has wrong endpoints"):
+        SystemMorphism(chain, chain, [ident, morph(mod(Z4, 2), m, [[2]]), ident]).validate()
+    with pytest.raises(InputError, match="square at step 1 does not commute"):
+        SystemMorphism(chain, chain, [ident, ident, three]).validate()
 
 
 @settings(max_examples=25, deadline=None)
@@ -258,13 +269,13 @@ def test_direct_limits_closure_on_sampled_ladders(data):
         tuple(c1 if i == j else 0 for j in range(free.rank)) for i in range(free.rank)))
     scalar2 = ModuleMorphism(free, free, tuple(
         tuple(c2 if i == j else 0 for j in range(free.rank)) for i in range(free.rank)))
-    src = Diagram.chain([free, free], [scalar1])
-    tgt = Diagram.chain([free, free], [scalar2])
+    src = Diagram([free, free], [scalar1])
+    tgt = Diagram([free, free], [scalar2])
     lower = compose(scalar2, fmap)
     upper = compose(fmap, scalar1)
     assume(lower == upper)
     ok, induced = closed_under_direct_limits_check(
-        MorphismIdeal.phantom(ring), SystemMorphism(src, tgt, {"n0": fmap, "n1": fmap}))
+        MorphismIdeal.phantom(ring), SystemMorphism(src, tgt, [fmap, fmap]))
     assert ok and is_phantom(induced)
 
 

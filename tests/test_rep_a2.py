@@ -207,22 +207,22 @@ def test_restrict_rep_embedding():
 
 def test_rep_colimit_constant():
     rep = double_rep()
-    d = RepDiagram.chain([rep, rep], [RepMorphism.identity(rep)])
+    d = RepDiagram([rep, rep], [RepMorphism.identity(rep)])
     col = rep_colimit(d)
     assert col.rep.m1.invariant_factors == rep.m1.invariant_factors
     assert col.rep.m2.invariant_factors == rep.m2.invariant_factors
-    assert is_automorphism(col.structural["n0"].d)
+    assert is_automorphism(col.structural[0].d)
 
 
 def test_rep_colimit_chain_of_subreps_reaches_top():
     rep = double_rep()
     sub = SubRep(rep, Submodule(rep.m1, ((2,),)), Submodule(rep.m2, ((2,),)))
     inner, emb = restrict_rep(sub)
-    d = RepDiagram.chain([inner, rep], [emb])
+    d = RepDiagram([inner, rep], [emb])
     col = rep_colimit(d)
     assert col.rep.m1.invariant_factors == rep.m1.invariant_factors
-    assert is_automorphism(col.structural["n1"].d)
-    assert is_automorphism(col.structural["n1"].s)
+    assert is_automorphism(col.structural[1].d)
+    assert is_automorphism(col.structural[1].s)
 
 
 def test_rep_colimit_is_the_top_representation():
@@ -233,30 +233,31 @@ def test_rep_colimit_is_the_top_representation():
     r0 = RepA2(a, a, morph(a, a, [[0]]))
     r1 = RepA2(b, b, morph(b, b, [[0, 1], [0, 0]]))
     t = RepMorphism(r0, r1, morph(a, b, [[0], [0]]), morph(a, b, [[2], [0]]))
-    col = rep_colimit(RepDiagram.chain([r0, r1], [t]))
+    col = rep_colimit(RepDiagram([r0, r1], [t]))
     assert col.rep == r1
-    assert col.structural["n1"] == RepMorphism.identity(r1)
-    assert col.structural["n0"] == t
+    assert col.structural == (t, RepMorphism.identity(r1))
 
 
 def test_rep_colimit_validates_each_component_diagram_once(diagram_validate_calls):
     rep = double_rep()
-    rep_colimit(RepDiagram.chain([rep, rep, rep], [RepMorphism.identity(rep)] * 2))
+    rep_colimit(RepDiagram([rep, rep, rep], [RepMorphism.identity(rep)] * 2))
     assert len(diagram_validate_calls) == 2
 
 
-def test_rep_diagram_validate_alone_checks_its_components():
-    # a -> b -> a composes to *3 on both components, not the identity loop
+def test_rep_diagram_validate_alone_checks_its_components(diagram_validate_calls):
+    # validate alone checks both component chains; where both check out, a
+    # step between representations with a different map is still caught
     m = mod(Z4, 4)
-    rep = RepA2(m, m, morph(m, m, [[1]]))
-    three = morph(m, m, [[3]])
     ident = ModuleMorphism.identity(m)
-    d = RepDiagram({"a": rep, "b": rep}, {("a", "b"): RepMorphism(rep, rep, three, three),
-                                          ("b", "a"): RepMorphism(rep, rep, ident, ident)})
-    with pytest.raises(InputError, match=r"non-functorial diagram at \(a, b, a\)"):
-        d.validate()
-    with pytest.raises(InputError, match="non-functorial"):
-        rep_colimit(d)
+    rep = RepA2(m, m, ident)
+    zero = RepA2(m, m, morph(m, m, [[0]]))
+    d = RepDiagram([rep, rep], [RepMorphism.identity(rep)])
+    d.validate()
+    assert len(diagram_validate_calls) == 2
+    with pytest.raises(InputError, match="representation step 0 does not map object 0 to"):
+        RepDiagram([rep, zero], [RepMorphism.identity(rep)]).validate()
+    with pytest.raises(InputError, match="representation step 1 does not map object 1 to"):
+        rep_colimit(RepDiagram([rep, rep, zero], [RepMorphism.identity(rep)] * 2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -274,7 +275,7 @@ def test_rep_colimit_of_phantom_chain_stays_phantom(data):
         tuple(c if i == j else 0 for j in range(rep1.m2.rank))
         for i in range(rep1.m2.rank)))
     step = RepMorphism(rep1, rep1, scal1, scal2)
-    col = rep_colimit(RepDiagram.chain([rep1, rep1], [step]))
+    col = rep_colimit(RepDiagram([rep1, rep1], [step]))
     assert is_phantom(col.rep.f)
 
 
