@@ -8,13 +8,7 @@ from .errors import (
     InternalConsistencyError,
     PhantomcoverError,
 )
-from .exact_linalg import (
-    IntMatrix,
-    SmithDecomposition,
-    smith_normal_form,
-    solution_space_mod,
-    solve_mod,
-)
+from .exact_linalg import IntMatrix, solution_space_mod, solve_mod
 from .finmod import (
     Diagram,
     FiniteModule,
@@ -71,6 +65,7 @@ from .filtration import (
     verify_filtration,
 )
 from .manifest import Manifest, parse, serialize
+from .oracles import SmithDecomposition, smith_normal_form
 from .samplers import random_phantom_rep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,10 +1,10 @@
-"""Exact integer matrix algebra: the Smith normal form, for presentations,
-and the Howell form of row spans over Z/n, which every modular solver reads.
+"""Exact matrix algebra over Z/n: the Howell form of row spans, which every
+modular solver reads, with the extended gcd and unit normalizer it shares
+with the canonical quotients of `finmod`.
 
 Everything is carried out over arbitrary-precision Python ints; no floating
-point is used anywhere.  The Smith normal form pivot rule is deterministic
-(minimum absolute value, ties broken by lowest (row, col)) so decompositions
-are reproducible across runs.  The Howell form keeps every entry in [0, n).
+point is used anywhere.  The Howell form keeps every entry in [0, n).  The
+integer Smith normal form is a reference route and lives in `oracles`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import gcd, prod
 from typing import Optional, Sequence
 
@@ -80,44 +79,6 @@ class IntMatrix:
         return self.entries[::self.cols + 1][:min(self.rows, self.cols)]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
-
-    U and its inverse are always tracked (canonical quotients read their
-    generator lifts off U^-1); V is None when the column transforms are not.
-    """
-
-    u: IntMatrix
-    d: IntMatrix
-    v: Optional[IntMatrix]
-    u_inv: IntMatrix
-
-    def diagonal(self) -> tuple[int, ...]:
-        return self.d.diagonal()
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal() if x != 0)
-
-
-def _min_abs_pivot(d: list[list[int]], t: int, m: int, n: int) -> Optional[tuple[int, int]]:
-    best = None
-    best_abs = None
-    for i in range(t, m):
-        di = d[i]
-        for j in range(t, n):
-            x = di[j]
-            if x != 0:
-                a = -x if x < 0 else x
-                if best_abs is None or a < best_abs:
-                    best_abs = a
-                    best = (i, j)
-                    if a == 1:
-                        return best
-    return best
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b == g == gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -131,144 +92,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def smith_normal_form(a: IntMatrix, *, col_transforms: bool = True) -> SmithDecomposition:
-    """Smith normal form with deterministic minimum-absolute-value pivoting.
-
-    Entries are cleared by unimodular 2x2 extended-gcd transforms, which
-    reach the gcd in one step per entry and keep intermediate growth tame.
-    U and U^-1 are always tracked; `col_transforms` tracks V, which is
-    otherwise never updated and comes back as None.  The pivot sequence
-    reads only D, so D, U and U^-1 are the same either way.
-    """
-    m, n = a.rows, a.cols
-    d = a.to_rows()
-    u = [[0] * m for _ in range(m)]
-    uinv = [[0] * m for _ in range(m)]
-    for i in range(m):
-        u[i][i] = uinv[i][i] = 1
-    v = None
-    if col_transforms:
-        v = [[0] * n for _ in range(n)]
-        for j in range(n):
-            v[j][j] = 1
-    # row ops act on the rows of d and u and, inverted, on the columns of
-    # uinv; column ops act on the columns of d and v
-    row_mats = (d, u)
-    col_mats = (d,) if v is None else (d, v)
-
-    def swap_rows(i, j):
-        for mat in row_mats:
-            mat[i], mat[j] = mat[j], mat[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        for mat in col_mats:
-            for r in mat:
-                r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, q):
-        # row_dst += q * row_src; the inverse is a column op on uinv
-        for mat in row_mats:
-            mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
-        for r in uinv:
-            r[src] -= q * r[dst]
-
-    def add_col(dst, src, q):
-        for mat in col_mats:
-            for r in mat:
-                r[dst] += q * r[src]
-
-    def row_gcd_transform(t, i, e11, e12, e21, e22):
-        # rows (t, i) <- E * rows (t, i) with det(E) == 1
-        for mat in row_mats:
-            rt, ri = mat[t], mat[i]
-            mat[t] = [e11 * x + e12 * y for x, y in zip(rt, ri)]
-            mat[i] = [e21 * x + e22 * y for x, y in zip(rt, ri)]
-        # uinv <- uinv * E^-1, E^-1 = [[e22, -e12], [-e21, e11]]
-        for r in uinv:
-            x, y = r[t], r[i]
-            r[t] = e22 * x - e21 * y
-            r[i] = -e12 * x + e11 * y
-
-    def col_gcd_transform(t, j, f11, f21, f12, f22):
-        # cols (t, j) <- cols (t, j) * F, F = [[f11, f12], [f21, f22]], det 1
-        for mat in col_mats:
-            for r in mat:
-                x, y = r[t], r[j]
-                r[t] = x * f11 + y * f21
-                r[j] = x * f12 + y * f22
-
-    def negate_row(i):
-        for mat in row_mats:
-            mat[i] = [-x for x in mat[i]]
-        for r in uinv:
-            r[i] = -r[i]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        piv = _min_abs_pivot(d, t, m, n)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        if d[t][t] < 0:
-            negate_row(t)
-        while True:
-            refill = False
-            for i in range(t + 1, m):
-                b = d[i][t]
-                if b == 0:
-                    continue
-                p = d[t][t]
-                if b % p == 0:
-                    add_row(i, t, -(b // p))
-                else:
-                    g, s, w = _xgcd(p, b)
-                    row_gcd_transform(t, i, s, w, -(b // g), p // g)
-                    refill = True  # row t changed; its row entries need re-clearing
-            for j in range(t + 1, n):
-                b = d[t][j]
-                if b == 0:
-                    continue
-                p = d[t][t]
-                if b % p == 0:
-                    add_col(j, t, -(b // p))
-                else:
-                    g, s, w = _xgcd(p, b)
-                    col_gcd_transform(t, j, s, w, -(b // g), p // g)
-                    refill = True  # column t was refilled below row t
-            if refill:
-                continue
-            offender = None
-            pivot = d[t][t]
-            for i in range(t + 1, m):
-                di = d[i]
-                for j in range(t + 1, n):
-                    if di[j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            # pull a non-divisible entry into row t; the next pass strictly
-            # divides the pivot down, so this terminates
-            add_row(t, offender, 1)
-        t += 1
-
-    def pack(rows, width):
-        return None if rows is None else IntMatrix(
-            len(rows), width, tuple(chain.from_iterable(rows)))
-
-    return SmithDecomposition(u=pack(u, m), d=pack(d, n), v=pack(v, n),
-                              u_inv=pack(uinv, m))
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,13 @@ from .errors import (
 from .exact_linalg import (
     HowellForm,
     IntMatrix,
+    _unit_normalizer,
+    _xgcd,
     graph_form,
     graph_kernel,
     graph_solution,
     howell_form,
     howell_insert,
-    smith_normal_form,
 )
 
 
@@ -483,89 +484,111 @@ def same_subgroup(a: Submodule, b: Submodule) -> bool:
 # canonical presentations from relation lattices
 # ---------------------------------------------------------------------------
 
-def _quotient_structure(ncoords: int, relations: Sequence[Sequence[int]] = (),
+def _quotient_structure(n: int, ncoords: int, relations: Sequence[Sequence[int]] = (),
                         diagonal: Optional[Sequence[int]] = None):
-    """Canonical data for Z^ncoords / <relations>.
+    """Canonical data for (Z/n)^ncoords / <relations, d_i * e_i>.
 
     Returns (factors, proj_rows, lift_cols): `factors` are the nontrivial
     invariant factors, `proj_rows[k]` expresses canonical generator k in the
-    ambient coordinates, and `lift_cols[k]` is an integer preimage of it.
-    The quotient must be finite (callers include ambient relations).
+    ambient coordinates, and `lift_cols[k]` is a preimage of it, in [0, n).
     `diagonal`, one positive d_i per coordinate, stands for the relations
-    d_i * e_i after `relations`; their rows are built only for the Smith
-    form.
+    d_i * e_i after `relations`.  The relation lattice must contain n Z^t,
+    as every caller's does, so the form is computed on residues mod n.
 
-    The data are those of the Smith form of the relation matrix.  A
-    monomial lattice, each relation a positive multiple of one coordinate,
-    is read off in closed form where that Smith form only permutes rows.
+    The relations are the rows of a matrix A.  Row operations leave their
+    span alone and are not tracked; each column operation is applied to A,
+    to V and, inverted, to V^-1, so A V stays a basis of the relations in
+    the coordinates x V.  At each step the pivot is the entry with the
+    least gcd(entry, n), first in row-major order; its row and column are
+    swapped into place and its row is scaled by a unit to that gcd.
+    Unimodular 2x2 column operations clear the pivot row, row operations
+    clear the pivot column, and a row operation that lowers the pivot sends
+    the step back to its row.  One 2x2 column operation per pair out of
+    order turns the diagonal into a divisibility chain (Storjohann,
+    "Algorithms for matrix canonical forms", 2000).  Canonical generator k
+    is then coordinate k of x V: its projection row is column k of V and
+    its lift row k of V^-1.  On a diagonal lattice whose swap order is a
+    divisibility chain, V is a permutation matrix.
     """
-    entries = ([[] for _ in range(ncoords)] if diagonal is None
-               else [[d] for d in diagonal])
-    for rel in relations:
-        support = [i for i, x in enumerate(rel) if x]
-        if len(support) > 1 or (support and rel[support[0]] < 0):
-            break
-        if support:
-            entries[support[0]].append(rel[support[0]])
-    else:
-        found = _monomial_structure(entries)
-        if found:
-            return found
+    a = [[x % n for x in rel] for rel in relations]
     if diagonal is not None:
-        relations = [*relations, *([d if i == j else 0 for i in range(ncoords)]
-                                   for j, d in enumerate(diagonal))]
-    return _smith_structure(ncoords, relations)
+        a += [[d if i == j else 0 for i in range(ncoords)] for j, d in enumerate(diagonal)]
+    # v_cols[k] is column k of V, v_inv[k] row k of V^-1
+    v_cols = [[int(i == k) for i in range(ncoords)] for k in range(ncoords)]
+    v_inv = [row[:] for row in v_cols]
 
+    def column_op(rows, t, j, e11, e21, e12, e22):
+        # columns (t, j) <- (e11 c_t + e21 c_j, e12 c_t + e22 c_j), det 1
+        for r in rows:
+            x, y = r[t], r[j]
+            r[t], r[j] = (e11 * x + e21 * y) % n, (e12 * x + e22 * y) % n
+        x, y = v_cols[t], v_cols[j]
+        v_cols[t] = [(e11 * p + e21 * q) % n for p, q in zip(x, y)]
+        v_cols[j] = [(e12 * p + e22 * q) % n for p, q in zip(x, y)]
+        x, y = v_inv[t], v_inv[j]
+        v_inv[t] = [(e22 * p - e12 * q) % n for p, q in zip(x, y)]
+        v_inv[j] = [(e11 * q - e21 * p) % n for p, q in zip(x, y)]
 
-def _smith_structure(ncoords: int, relations: Sequence[Sequence[int]]):
-    """`_quotient_structure` through the Smith form: the factors are the
-    diagonal entries other than 1, proj_rows the matching rows of U and
-    lift_cols the matching columns of U^-1."""
-    w = IntMatrix(ncoords, len(relations), tuple(chain.from_iterable(zip(*relations))))
-    s = smith_normal_form(w, col_transforms=False)
-    diag = s.diagonal()
-    factors = []
-    kept = []
+    # rows before t are finished: zero but for their pivot at column t
+    t = 0
+    while True:
+        best = None
+        for i in range(t, len(a)):
+            for j, x in enumerate(a[i][t:], t):
+                if x:
+                    g = gcd(x, n)
+                    if best is None or g < best[0]:
+                        best = (g, i, j)
+                        if g == 1:
+                            break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        g, i, j = best
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for r in a[t:]:
+                r[t], r[j] = r[j], r[t]
+            v_cols[t], v_cols[j] = v_cols[j], v_cols[t]
+            v_inv[t], v_inv[j] = v_inv[j], v_inv[t]
+        piv = a[t]
+        if piv[t] != g:
+            u = _unit_normalizer(piv[t], n)
+            piv[:] = [(u * x) % n for x in piv]
+        while True:
+            for j in range(t + 1, ncoords):
+                p, b = piv[t], piv[j]
+                if not b:
+                    continue
+                if b % p == 0:
+                    column_op(a[t:], t, j, 1, 0, -(b // p), 1)
+                else:
+                    g, s, w = _xgcd(p, b)
+                    column_op(a[t:], t, j, s, w, -(b // g), p // g)
+            p = piv[t]
+            r = next((r for r in a[t + 1:] if r[t] % p), None)
+            if r is None:
+                break
+            g, s, w = _xgcd(p, r[t])
+            pg, bg = p // g, r[t] // g
+            piv[:], r[:] = ([(s * x + w * y) % n for x, y in zip(piv, r)],
+                            [(pg * y - bg * x) % n for x, y in zip(piv, r)])
+        for r in a[t + 1:]:
+            r[t] = 0
+        t += 1
+    diag = [a[k][k] for k in range(t)] + [n] * (ncoords - t)
     for i in range(ncoords):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            raise InternalConsistencyError("relation lattice does not have full rank")
-        if di != 1:
-            kept.append(i)
-            factors.append(di)
-    proj_rows = [tuple(x % f for x in s.u.row(i)) for f, i in zip(factors, kept)]
-    lift_cols = [s.u_inv.entries[i::ncoords] for i in kept]
-    return tuple(factors), proj_rows, lift_cols
-
-
-def _monomial_structure(entries: Sequence[Sequence[int]]):
-    """`_smith_structure` of the lattice spanned by the positive multiples
-    entries[i] of each coordinate i, without a Smith form; None when that
-    form would do more than permute rows.
-
-    On such a lattice every column of the relation matrix has one nonzero
-    entry, so the Smith form's row-major min-|x| rule swaps to position t
-    the first remaining coordinate holding the smallest entry, and column
-    operations alone bring its pivot down to the gcd of its entries.  It
-    adds a row only when a later coordinate has an entry the pivot does
-    not divide, that is, when the gcds in swap order are not a divisibility
-    chain.  Otherwise U and U^-1 are permutation matrices: canonical
-    generator k is the unit vector of the coordinate at position k, as a
-    projection row and as a lift.
-    """
-    if not all(entries):
-        return None  # not of full rank, which the Smith form reports
-    low = [min(e) for e in entries]
-    pivots = [gcd(*e) for e in entries]
-    order = list(range(len(entries)))
-    for t in range(len(order)):
-        pick = min(range(t, len(order)), key=lambda p: low[order[p]])
-        order[t], order[pick] = order[pick], order[t]
-        if t and pivots[order[t]] % pivots[order[t - 1]]:
-            return None
-    kept = [c for c in order if pivots[c] != 1]
-    units = [tuple(1 if i == c else 0 for i in range(len(order))) for c in kept]
-    return tuple(pivots[c] for c in kept), units, units
+        for j in range(i + 1, ncoords):
+            d, e = diag[i], diag[j]
+            if e % d:
+                g, s, w = _xgcd(d, e)
+                column_op((), i, j, s, w, -(e // g), d // g)
+                diag[i], diag[j] = g, d // g * e
+    kept = [k for k in range(ncoords) if diag[k] != 1]
+    return (tuple(diag[k] for k in kept),
+            [tuple(x % diag[k] for x in v_cols[k]) for k in kept],
+            [tuple(v_inv[k]) for k in kept])
 
 
 @dataclass(frozen=True)
@@ -593,7 +616,8 @@ class QuotientData:
 def quotient_by(ambient: FiniteModule, generators: Sequence[Sequence[int]]) -> QuotientData:
     """ambient / <generators> in canonical form with projection and lifts."""
     factors, proj_rows, lift_cols = _quotient_structure(
-        ambient.rank, [ambient.reduce(g) for g in generators], ambient.invariant_factors)
+        ambient.ring.modulus, ambient.rank, [ambient.reduce(g) for g in generators],
+        ambient.invariant_factors)
     q = FiniteModule(ambient.ring, factors)
     projection = ModuleMorphism(ambient, q, tuple(proj_rows))
     return QuotientData(q, projection, tuple(lift_cols))
@@ -642,7 +666,7 @@ def slice_generators(lower: Submodule, upper: Submodule) -> list[tuple[int, tupl
             rel = [-q for q in rel]
             rel[i] = scales[i]
         rels.append(rel)
-    factors, _, lift_cols = _quotient_structure(len(scales), rels)
+    factors, _, lift_cols = _quotient_structure(n, len(scales), rels)
     if prod(factors) * lower.cardinality != upper.cardinality:
         raise InternalConsistencyError("slice presentation has wrong cardinality")
     return [(d, _unscaled(amb, [sum(map(mul, col, h)) % n for h in zip(*hs.rows)]))
@@ -784,11 +808,12 @@ def _kernel_column_gens(g: ModuleMorphism, dq: int) -> list[tuple[int, ...]]:
 def left_factor_kernel_columns(g: ModuleMorphism, source: FiniteModule) -> list[list[tuple[int, ...]]]:
     """Per-column generating sets for {j : source -> g.source with g o j == 0}.
 
-    Column q of such a j ranges over a subgroup of g.source; the returned
-    list gives generators of that subgroup for each q.
+    Column q of such a j ranges over {x : g(x) == 0, d_q * x == 0}, which
+    depends on the order d_q alone, so each distinct order is solved once
+    and each of its columns gets a copy of the generators.
     """
-    return [_kernel_column_gens(g, source.invariant_factors[q])
-            for q in range(source.rank)]
+    gens = {d: _kernel_column_gens(g, d) for d in set(source.invariant_factors)}
+    return [list(gens[d]) for d in source.invariant_factors]
 
 
 def invert_automorphism(j: ModuleMorphism) -> ModuleMorphism:
@@ -826,7 +851,8 @@ def direct_sum(summands: Sequence[FiniteModule]) -> DirectSum:
     if any(m.ring != ring for m in summands):
         raise InputError("direct_sum: ring mismatch")
     concat = [d for m in summands for d in m.invariant_factors]
-    factors, proj_rows, lift_cols = _quotient_structure(len(concat), diagonal=concat)
+    factors, proj_rows, lift_cols = _quotient_structure(ring.modulus, len(concat),
+                                                        diagonal=concat)
     module = FiniteModule(ring, factors)
     injections = []
     projections = []

@@ -6,14 +6,14 @@ the production algorithm it checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
 from .approx import module_classes
 from .errors import InputError, InternalConsistencyError
-from .exact_linalg import IntMatrix, smith_normal_form, solve_mod
+from .exact_linalg import IntMatrix, _xgcd, solve_mod
 from .finmod import (
     Diagram,
     DirectSum,
@@ -56,6 +56,178 @@ def determinant(a: IntMatrix) -> int:
             m[i][t] = 0
         prev = m[t][t]
     return sign * m[k - 1][k - 1]
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """U @ A @ V == D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
+
+    U^-1 is tracked beside U.
+    """
+
+    u: IntMatrix
+    d: IntMatrix
+    v: IntMatrix
+    u_inv: IntMatrix
+
+    def diagonal(self) -> tuple[int, ...]:
+        return self.d.diagonal()
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for x in self.diagonal() if x != 0)
+
+
+def _min_abs_pivot(d: list[list[int]], t: int, m: int, n: int) -> Optional[tuple[int, int]]:
+    best = None
+    best_abs = None
+    for i in range(t, m):
+        di = d[i]
+        for j in range(t, n):
+            x = di[j]
+            if x != 0:
+                a = -x if x < 0 else x
+                if best_abs is None or a < best_abs:
+                    best_abs = a
+                    best = (i, j)
+                    if a == 1:
+                        return best
+    return best
+
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Integer Smith normal form with deterministic minimum-absolute-value
+    pivoting, ties broken by lowest (row, col), so decompositions are
+    reproducible.  The reference for `finmod._quotient_structure`, which
+    computes the canonical form over Z/n instead.
+
+    Entries are cleared by unimodular 2x2 extended-gcd transforms, which
+    reach the gcd in one step per entry and keep intermediate growth tame.
+    """
+    m, n = a.rows, a.cols
+    d = a.to_rows()
+    u = [[0] * m for _ in range(m)]
+    uinv = [[0] * m for _ in range(m)]
+    for i in range(m):
+        u[i][i] = uinv[i][i] = 1
+    v = [[0] * n for _ in range(n)]
+    for j in range(n):
+        v[j][j] = 1
+    # row ops act on the rows of d and u and, inverted, on the columns of
+    # uinv; column ops act on the columns of d and v
+    row_mats = (d, u)
+    col_mats = (d, v)
+
+    def swap_rows(i, j):
+        for mat in row_mats:
+            mat[i], mat[j] = mat[j], mat[i]
+        for r in uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def swap_cols(i, j):
+        for mat in col_mats:
+            for r in mat:
+                r[i], r[j] = r[j], r[i]
+
+    def add_row(dst, src, q):
+        # row_dst += q * row_src; the inverse is a column op on uinv
+        for mat in row_mats:
+            mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
+        for r in uinv:
+            r[src] -= q * r[dst]
+
+    def add_col(dst, src, q):
+        for mat in col_mats:
+            for r in mat:
+                r[dst] += q * r[src]
+
+    def row_gcd_transform(t, i, e11, e12, e21, e22):
+        # rows (t, i) <- E * rows (t, i) with det(E) == 1
+        for mat in row_mats:
+            rt, ri = mat[t], mat[i]
+            mat[t] = [e11 * x + e12 * y for x, y in zip(rt, ri)]
+            mat[i] = [e21 * x + e22 * y for x, y in zip(rt, ri)]
+        # uinv <- uinv * E^-1, E^-1 = [[e22, -e12], [-e21, e11]]
+        for r in uinv:
+            x, y = r[t], r[i]
+            r[t] = e22 * x - e21 * y
+            r[i] = -e12 * x + e11 * y
+
+    def col_gcd_transform(t, j, f11, f21, f12, f22):
+        # cols (t, j) <- cols (t, j) * F, F = [[f11, f12], [f21, f22]], det 1
+        for mat in col_mats:
+            for r in mat:
+                x, y = r[t], r[j]
+                r[t] = x * f11 + y * f21
+                r[j] = x * f12 + y * f22
+
+    def negate_row(i):
+        for mat in row_mats:
+            mat[i] = [-x for x in mat[i]]
+        for r in uinv:
+            r[i] = -r[i]
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        piv = _min_abs_pivot(d, t, m, n)
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        if d[t][t] < 0:
+            negate_row(t)
+        while True:
+            refill = False
+            for i in range(t + 1, m):
+                b = d[i][t]
+                if b == 0:
+                    continue
+                p = d[t][t]
+                if b % p == 0:
+                    add_row(i, t, -(b // p))
+                else:
+                    g, s, w = _xgcd(p, b)
+                    row_gcd_transform(t, i, s, w, -(b // g), p // g)
+                    refill = True  # row t changed; its row entries need re-clearing
+            for j in range(t + 1, n):
+                b = d[t][j]
+                if b == 0:
+                    continue
+                p = d[t][t]
+                if b % p == 0:
+                    add_col(j, t, -(b // p))
+                else:
+                    g, s, w = _xgcd(p, b)
+                    col_gcd_transform(t, j, s, w, -(b // g), p // g)
+                    refill = True  # column t was refilled below row t
+            if refill:
+                continue
+            offender = None
+            pivot = d[t][t]
+            for i in range(t + 1, m):
+                di = d[i]
+                for j in range(t + 1, n):
+                    if di[j] % pivot != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            # pull a non-divisible entry into row t; the next pass strictly
+            # divides the pivot down, so this terminates
+            add_row(t, offender, 1)
+        t += 1
+
+    def pack(rows, width):
+        return IntMatrix(len(rows), width, tuple(chain.from_iterable(rows)))
+
+    return SmithDecomposition(u=pack(u, m), d=pack(d, n), v=pack(v, n),
+                              u_inv=pack(uinv, m))
 
 
 def element_preimage(f: ModuleMorphism, y: Sequence[int]) -> Optional[tuple[int, ...]]:

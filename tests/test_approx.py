@@ -10,7 +10,7 @@ from conftest import (
     pure_monos_from,
     rings,
 )
-from phantomcover import approx
+from phantomcover import approx, finmod
 from phantomcover.approx import (
     extract_retract,
     is_cover,
@@ -128,6 +128,32 @@ def test_cover_rejects_non_radical_self_factorization():
     big = mod(Z4, 4, 4)
     phi = morph(big, mod(Z4, 2), [[1, 0]])
     assert is_cover(MorphismIdeal.phantom(Z4), phi, [phi]) is False
+
+
+@pytest.mark.parametrize("ideal, cover_of, orders", [
+    # the phantom cover of a rank-24 module over Z/8 has every source
+    # factor 8; the identity of the module is its own hom-ideal cover
+    (MorphismIdeal.phantom(Z8), phantom_cover, 1),
+    (MorphismIdeal.full_hom(Z8), ModuleMorphism.identity, 3),
+])
+def test_cover_solves_the_kernel_columns_once_per_source_order(monkeypatch, ideal,
+                                                               cover_of, orders):
+    # column q of an h with phi o h == 0 depends on the order d_q alone,
+    # so the radical test solves each distinct source order once
+    m = mod(Z8, *([2] * 8 + [4] * 8 + [8] * 8))
+    phi = cover_of(m)
+    real = finmod._kernel_column_gens
+    calls = []
+
+    def counted(g, dq):
+        calls.append(dq)
+        return real(g, dq)
+
+    monkeypatch.setattr(finmod, "_kernel_column_gens", counted)
+    assert is_cover(ideal, phi, universal_maps(ideal, m)) is True
+    assert len(calls) == orders == len(set(phi.source.invariant_factors))
+    assert finmod.left_factor_kernel_columns(phi, phi.source) == \
+        [real(phi, d) for d in phi.source.invariant_factors]
 
 
 @seed(20261018)

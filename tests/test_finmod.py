@@ -1,5 +1,9 @@
 import random
 import sys
+import time
+from itertools import product
+from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, seed, settings
@@ -8,12 +12,7 @@ from hypothesis import strategies as st
 from conftest import elements, modules, modules_with_submodule, morphisms, rings, submodules
 from phantomcover import finmod, ideals, rep_a2
 from phantomcover.errors import IllDefinedMorphismError, InputError, InternalConsistencyError
-from phantomcover.exact_linalg import (
-    IntMatrix,
-    smith_normal_form,
-    solution_space_mod,
-    solve_mod,
-)
+from phantomcover.exact_linalg import IntMatrix, solution_space_mod, solve_mod
 from phantomcover.filtration import FiltrationConfig, build_filtration
 from phantomcover.finmod import (
     Diagram,
@@ -52,6 +51,7 @@ from phantomcover.oracles import (
     integer_kernel_basis,
     is_direct_summand,
     lowest_purification_witness,
+    smith_normal_form,
     subgroup_elements,
 )
 from phantomcover.samplers import random_phantom_rep
@@ -1047,24 +1047,54 @@ def test_image_and_kernel_submodules():
     assert same_subgroup(img, ker)  # both are {0, 2}
 
 
-# --- canonical quotients without a Smith form ---------------------------------
+# --- canonical quotients over Z/n ---------------------------------------------
 
-def _smith_reference(ncoords, relations):
-    """(factors, proj_rows, lift_cols) read straight off the Smith form of
-    the relation matrix: the diagonal entries other than 1, the matching
-    rows of U mod their factor and the matching columns of U^-1."""
-    w = IntMatrix.from_rows([[rel[i] for rel in relations] for i in range(ncoords)],
-                            cols=len(relations))
-    s = smith_normal_form(w)
-    diag = s.diagonal()
-    kept = [i for i in range(ncoords) if diag[i] != 1]
-    return (tuple(diag[i] for i in kept),
-            [tuple(x % diag[i] for x in s.u.row(i)) for i in kept],
-            [s.u_inv.column(i) for i in kept])
+def _smith_factors(n, ncoords, relations):
+    """The invariant factors other than 1 of Z^t / <relations, n * e_i>,
+    off the integer Smith form of the oracle."""
+    rels = [*relations, *([n if i == j else 0 for i in range(ncoords)] for j in range(ncoords))]
+    w = IntMatrix.from_rows([[rel[i] for rel in rels] for i in range(ncoords)],
+                            cols=len(rels))
+    return tuple(d for d in smith_normal_form(w).diagonal() if d != 1)
 
 
-def _no_smith_form(*args, **kwargs):
-    raise AssertionError("the closed form ran the Smith form")
+def _checked_quotient_structure(n, t, relations=(), diagonal=None):
+    """`_quotient_structure` with the properties that make it a canonical
+    quotient: its factors are the Smith oracle's, each projection row kills
+    every relation and the diagonal, and lift k projects to e_k."""
+    structure = finmod._quotient_structure(n, t, relations, diagonal)
+    factors, proj_rows, lift_cols = structure
+    rels = [*relations, *([d if i == j else 0 for i in range(t)]
+                          for j, d in enumerate(diagonal or ()))]
+    assert factors == _smith_factors(n, t, rels)
+    assert len(proj_rows) == len(lift_cols) == len(factors)
+    for f, row in zip(factors, proj_rows):
+        assert all(0 <= x < f for x in row)
+        assert all(sum(map(mul, row, rel)) % f == 0 for rel in rels)
+    for k, lift in enumerate(lift_cols):
+        assert all(0 <= x < n for x in lift)
+        assert [sum(map(mul, row, lift)) % f for f, row in zip(factors, proj_rows)] == \
+            [int(q == k) for q in range(len(factors))]
+    return structure
+
+
+QUOTIENT_MODULI = (2, 3, 4, 6, 8, 9, 12, 16, 18, 36, 72)
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quotient_structure_is_the_smith_quotient(data):
+    # relations with negative and unreduced entries, on their own or over a
+    # diagonal of divisors of n
+    n = data.draw(st.sampled_from(QUOTIENT_MODULI))
+    t = data.draw(st.integers(0, 4))
+    rels = data.draw(st.lists(st.lists(st.integers(-2 * n, 2 * n), min_size=t, max_size=t),
+                              max_size=3))
+    diagonal = data.draw(st.none() | st.lists(st.sampled_from(Ring(n).divisors()[1:]),
+                                              min_size=t, max_size=t))
+    factors, _, _ = _checked_quotient_structure(n, t, rels, diagonal)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
 MONOMIAL_MODULI = (6, 12, 36)
@@ -1095,12 +1125,73 @@ def monomial_lattices(draw, n):
 def test_monomial_quotient_structure_matches_the_smith_form(data):
     n = data.draw(st.sampled_from(MONOMIAL_MODULI))
     t, rels = data.draw(monomial_lattices(n))
-    structure = finmod._quotient_structure(t, rels)
-    assert structure == _smith_reference(t, rels)
-    assert list(structure[0]) == sorted(structure[0])
-    closed = finmod._monomial_structure(
-        [[rel[i] for rel in rels if rel[i]] for i in range(t)])
-    assert closed is None or closed == structure
+    factors, _, _ = _checked_quotient_structure(n, t, rels)
+    assert list(factors) == sorted(factors)
+
+
+def _swap_order(diagonal):
+    """The coordinates in the order the pivot search takes them on a
+    diagonal lattice: at each position the first least entry among the
+    positions left, swapped into place."""
+    order = list(range(len(diagonal)))
+    for t in range(len(order)):
+        pick = min(range(t, len(order)), key=lambda p: diagonal[order[p]])
+        order[t], order[pick] = order[pick], order[t]
+    return order
+
+
+def _chain_diagonals():
+    for n in (8, 12, 36):
+        divs = Ring(n).divisors()[1:]
+        for t in range(4):
+            for diagonal in product(divs, repeat=t):
+                order = _swap_order(diagonal)
+                if all(diagonal[b] % diagonal[a] == 0 for a, b in zip(order, order[1:])):
+                    yield n, diagonal, order
+    yield 8, (8, 4, 4, 2), [3, 1, 2, 0]
+
+
+def test_chain_diagonals_give_the_permutation_of_their_swap_order():
+    # a diagonal lattice whose entries in swap order form a divisibility
+    # chain is presented by permuting its coordinates: V is a permutation
+    # matrix, so each projection row and each lift is a unit vector
+    cases = 0
+    for n, diagonal, order in _chain_diagonals():
+        t = len(diagonal)
+        units = [tuple(int(i == c) for i in range(t)) for c in order]
+        assert _checked_quotient_structure(n, t, diagonal=diagonal) == \
+            (tuple(diagonal[c] for c in order), units, units)
+        cases += 1
+    assert cases > 200
+
+
+@pytest.mark.parametrize("t, rels, factors, order", [
+    # ties go to the first relation in row-major order, and each swap
+    # reorders the rest
+    (3, [[0, 0, 2], [0, 4, 0], [4, 0, 0]], (2, 4, 4), (2, 1, 0)),
+    (3, [[4, 0, 0], [0, 4, 0], [0, 0, 2]], (2, 4, 4), (2, 1, 0)),
+    # the pivot is the gcd of a coordinate's entries, below its least one
+    (3, [[6, 0, 0], [4, 0, 0], [0, 8, 0], [0, 0, 1]], (2, 8), (0, 1)),
+    # repeated, unreduced and zero relations
+    (2, [[0, 36], [0, 0], [24, 0], [0, 12], [72, 0], [0, 12]], (12, 24), (1, 0)),
+])
+def test_monomial_quotient_structure_examples(t, rels, factors, order):
+    # over n the exponent of the quotient, its largest factor, and over a
+    # multiple of it, where the relations reduce differently
+    units = [tuple(1 if i == c else 0 for i in range(t)) for c in order]
+    for n in (factors[-1], 2 * factors[-1]):
+        assert _checked_quotient_structure(n, t, rels) == (factors, units, units)
+
+
+@pytest.mark.parametrize("n, diagonal, expected", [
+    # Z/2 + Z/3 is Z/6: one 2x2 column operation merges the coordinates
+    (6, (2, 3), ((6,), [(3, 2)], [(5, 5)])),
+    (6, (3, 2), ((6,), [(2, 3)], [(5, 5)])),
+    (12, (4, 3, 2), ((2, 12), [(1, 0, 1), (3, 8, 6)], [(2, 9, 9), (1, 11, 11)])),
+    (36, (4, 9), ((36,), [(27, 4)], [(35, 34)])),
+])
+def test_off_chain_diagonals_merge_in_one_column_operation(n, diagonal, expected):
+    assert _checked_quotient_structure(n, len(diagonal), diagonal=diagonal) == expected
 
 
 @pytest.mark.parametrize("diagonal", [
@@ -1109,48 +1200,37 @@ def test_monomial_quotient_structure_matches_the_smith_form(data):
     (4, 9), (12, 18), (9, 4, 36),        # n = 36
 ])
 def test_monomial_lattices_off_a_chain_fall_back_to_the_smith_form(diagonal):
-    t = len(diagonal)
-    rels = [[d if k == i else 0 for k in range(t)] for i, d in enumerate(diagonal)]
-    assert finmod._monomial_structure([[d] for d in diagonal]) is None
-    assert finmod._quotient_structure(t, rels) == _smith_reference(t, rels)
-
-
-@pytest.mark.parametrize("t, rels, factors, order", [
-    # ties go to the first coordinate, and each swap reorders the rest
-    (3, [[0, 0, 2], [0, 4, 0], [4, 0, 0]], (2, 4, 4), (2, 1, 0)),
-    (3, [[4, 0, 0], [0, 4, 0], [0, 0, 2]], (2, 4, 4), (2, 1, 0)),
-    # the pivot is the gcd of a coordinate's entries, below its least one
-    (3, [[6, 0, 0], [4, 0, 0], [0, 8, 0], [0, 0, 1]], (2, 8), (0, 1)),
-    # repeated, unreduced and zero relations
-    (2, [[0, 36], [0, 0], [24, 0], [0, 12], [72, 0], [0, 12]], (12, 24), (1, 0)),
-])
-def test_monomial_quotient_structure_examples(monkeypatch, t, rels, factors, order):
-    assert finmod._quotient_structure(t, rels) == _smith_reference(t, rels)
-    monkeypatch.setattr(finmod, "smith_normal_form", _no_smith_form)
-    units = [tuple(1 if i == c else 0 for i in range(t)) for c in order]
-    assert finmod._quotient_structure(t, rels) == (factors, units, units)
+    # off a chain the factors are still the Smith form's, and a 2x2 column
+    # operation merges coordinates, so some projection row is no unit vector
+    n = lcm(*diagonal)
+    _, proj_rows, _ = _checked_quotient_structure(n, len(diagonal), diagonal=diagonal)
+    assert any(sorted(row) != [0] * (len(row) - 1) + [1] for row in proj_rows)
 
 
 @pytest.mark.parametrize("t, rels", [
     (2, [[-2, 0], [0, 4]]),                # a negative entry
     (2, [[2, 2], [0, 4], [4, 0]]),         # a relation on two coordinates
     (2, [[0, 36], [9, 0], [0, 0], [0, 8]]),  # gcds 9 and 4 are not a chain
+    (2, [[2, 0], [3, 3]]),                 # a row operation lowers the pivot
 ])
 def test_quotient_structure_off_the_closed_form_is_the_smith_form(t, rels):
-    assert finmod._quotient_structure(t, rels) == _smith_reference(t, rels)
+    # over the exponent of the quotient and over a multiple of it
+    w = IntMatrix.from_rows([[rel[i] for rel in rels] for i in range(t)], cols=len(rels))
+    exponent = smith_normal_form(w).diagonal()[-1]
+    for n in (exponent, 2 * exponent):
+        _checked_quotient_structure(n, t, rels)
 
 
 @seed(20261019)
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_direct_sum_matches_the_smith_form(data):
-    ring = data.draw(rings(MONOMIAL_MODULI))
+    ring = data.draw(rings(MONOMIAL_MODULI + (8,)))
     summands = data.draw(st.lists(modules(ring, max_card=216, max_rank=3),
                                   min_size=1, max_size=3))
     concat = [d for m in summands for d in m.invariant_factors]
-    t = len(concat)
-    factors, proj_rows, lift_cols = _smith_reference(
-        t, [[d if k == i else 0 for k in range(t)] for i, d in enumerate(concat)])
+    factors, proj_rows, lift_cols = _checked_quotient_structure(
+        ring.modulus, len(concat), diagonal=concat)
     ds = direct_sum(summands)
     assert ds.module == FiniteModule(ring, factors)
     off = 0
@@ -1160,3 +1240,42 @@ def test_direct_sum_matches_the_smith_form(data):
         assert proj == ModuleMorphism.from_columns(
             ds.module, m, [col[off:off + m.rank] for col in lift_cols])
         off += m.rank
+    for i, inj in enumerate(ds.injections):
+        for j, proj in enumerate(ds.projections):
+            assert compose(proj, inj) == (ModuleMorphism.identity(summands[i]) if i == j
+                                          else ModuleMorphism.zero_map(summands[i], summands[j]))
+    assert ds.copair(ds.injections) == ModuleMorphism.identity(ds.module)
+
+
+def _dense_automorphism(ring, k, rng):
+    """A unipotent lower times a unipotent upper triangular matrix, with
+    random entries: an automorphism of (Z/n)^k with no zero entry pattern."""
+    n = ring.modulus
+    lower = [[int(i == j) or (rng.randrange(n) if i > j else 0) for j in range(k)]
+             for i in range(k)]
+    upper = [[int(i == j) or (rng.randrange(n) if i < j else 0) for j in range(k)]
+             for i in range(k)]
+    free = FiniteModule.free(ring, k)
+    return morph(free, free, [[sum(map(mul, row, col)) % n for col in zip(*upper)]
+                              for row in lower])
+
+
+@pytest.mark.parametrize("n", [8, 36])
+def test_dense_rank_24_cokernel_and_pushout_stay_modulo_n(n):
+    # dense rank-24 quotients: the integer Smith form took over 300 s on
+    # the pushout; over Z/n both end within the time bound
+    ring, k = Ring(n), 24
+    rng = random.Random(n)
+    free = FiniteModule.free(ring, k)
+    f = morph(free, free, [[rng.randrange(n) for _ in range(k)] for _ in range(k)])
+    u = morph(free, free, [[rng.randrange(n) for _ in range(k)] for _ in range(k)])
+    a = _dense_automorphism(ring, k, rng)
+    assert is_automorphism(a)
+    start = time.process_time()
+    q, proj = cokernel(f)
+    po = pushout(u, a)
+    assert time.process_time() - start < 2.0
+    assert is_surjective(proj) and compose(proj, f).is_zero
+    assert q.cardinality * image_submodule(f).cardinality == free.cardinality
+    # pushing out along an automorphism gives an automorphism
+    assert po.module == free and is_automorphism(po.v_prime)

@@ -88,7 +88,7 @@ PRODUCTION = ("exact_linalg", "finmod", "ideals", "approx", "rep_a2", "filtratio
               "manifest", "cli")
 CROSS_CHECK_ROUTES = {"solve_mod", "solution_space_mod", "determinant", "element_preimage",
                       "multiplication_map", "is_direct_summand", "mediating_by_solver",
-                      "colimit_by_gluing"}
+                      "colimit_by_gluing", "smith_normal_form", "SmithDecomposition"}
 
 
 def test_production_modules_name_no_cross_check_route():
