@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from phantomcover import cli, exact_linalg
 from phantomcover.cli import main
-from phantomcover.errors import InternalConsistencyError
+from phantomcover.errors import IllDefinedMorphismError, InputError, InternalConsistencyError
+from phantomcover.finmod import FiniteModule, ModuleMorphism, Ring
 
 DEMO = """\
 [manifest] version=1
@@ -311,6 +312,62 @@ def test_verify_suite_failure_output_names_everything(capsys, monkeypatch):
     assert "message: synthetic defect" in out
     assert "| [morphism witness]" in out  # serialized counterexample manifest
     assert "suite=FAIL" in out
+
+
+_ILL = ("ill-defined morphism 'f': entry {4} at ({0}, {1}) "
+        "with factors (target {2}, source {3})")
+
+
+# (source, target, rows, manifest rows, error type, IllDefinedMorphismError
+# fields (row, col, target factor, source factor, entry), constructor message,
+# manifest stderr detail or None where the manifest accepts the morphism)
+@pytest.mark.parametrize("src, tgt, rows, text, kind, fields, message, detail", [
+    # several violations: the first in row-major order, its entry reduced
+    ((2, 2), (4, 4), ((4, 5), (1, 3)), "4,5;1,3", "ill", (0, 1, 4, 2, 1),
+     "entry 1 at (0, 1) violates 1 * 2 = 0 (mod 4)", _ILL.format(0, 1, 4, 2, 1)),
+    # a violation in row 0 wins over the short row 1 after it
+    ((2, 2), (4, 4), ((1, 0), (0,)), "1,0;0", "ill", (0, 0, 4, 2, 1),
+     "entry 1 at (0, 0) violates 1 * 2 = 0 (mod 4)", _ILL.format(0, 0, 4, 2, 1)),
+    # a short row after a well-defined one
+    ((2, 2), (4, 4), ((0, 2), (0,)), "0,2;0", "input", None,
+     "matrix column count must equal source rank",
+     "matrix column count must equal source rank"),
+    # a row's length is checked before its entries
+    ((2,), (4, 8), ((0,), (1, 0)), "0;1,0", "input", None,
+     "matrix column count must equal source rank",
+     "matrix column count must equal source rank"),
+    # the wrong row count
+    ((2, 2), (4, 4), ((0, 0),), "0,0", "input", None,
+     "matrix row count must equal target rank", "matrix row count must equal target rank"),
+    # rank-0 source and rank-0 target: the manifest reads the empty matrix
+    ((), (4,), ((1,),), "1", "input", None,
+     "matrix column count must equal source rank", None),
+    ((4,), (), ((),), "1", "input", None, "matrix row count must equal target rank", None),
+], ids=["first-violation", "violation-before-short-row", "short-row", "long-row",
+        "row-count", "rank-0-source", "rank-0-target"])
+def test_malformed_morphisms_report_one_error(tmp_path, capsys, src, tgt, rows, text,
+                                              kind, fields, message, detail):
+    ring = Ring(8)
+    with pytest.raises(InputError) as caught:
+        ModuleMorphism(FiniteModule(ring, src), FiniteModule(ring, tgt), rows)
+    exc = caught.value
+    assert type(exc) is (IllDefinedMorphismError if kind == "ill" else InputError)
+    assert str(exc) == message
+    if fields is not None:
+        assert (exc.row, exc.col, exc.target_factor, exc.source_factor, exc.entry) == fields
+    path = tmp_path / "m.txt"
+    path.write_text("[manifest] version=1\n[ring] n=8\n"
+                    f"[module S] factors={','.join(map(str, src))}\n"
+                    f"[module T] factors={','.join(map(str, tgt))}\n"
+                    f"[morphism f] from=S to=T rows={text}\n", encoding="utf-8")
+    code = main(["check-phantom", "--input", str(path), "--morphism", "f"])
+    captured = capsys.readouterr()
+    if detail is None:
+        assert (code, captured.err) == (0, "")
+        assert "phantom=true" in captured.out.splitlines()
+    else:
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error=input detail=line 5: {detail}\n"
 
 
 def test_input_error_exit_code(capsys):
