@@ -16,6 +16,7 @@ from .finmod import (
     ModuleMorphism,
     Ring,
     Submodule,
+    _single_entry,
     compose,
     factorize,
     hom_group,
@@ -64,35 +65,23 @@ def phantom_probe_set(m: FiniteModule, size_bound: int = 256) -> list[ModuleMorp
     sources of cardinality at most size_bound.
 
     No CLI verdict uses it: it cross-checks `universal_maps` in the suite
-    and the tests.  Phantom maps into m are exactly the composites through
-    the free cover pi: (Z/n)^r -> m, and maps factoring through a fixed
-    morphism form a subgroup closed under precomposition, so the composites
-    pi o t over generators t of Hom(cls, (Z/n)^r) are exhaustive for each
-    source class cls.  Those generators are entrywise, and pi's matrix is
-    the identity pattern, so each probe is written down in closed form:
-    for target factor e_i and source factor d_j it is the single-entry
-    matrix with (n / d_j) mod e_i at (i, j).  Generators of Hom(P, m) for
-    the indecomposable projectives P follow as an independent guard.
-    Where the entry is 0 the probe is the zero map, one shared object per
-    source class, so that `is_precover` decides a run of them once.
-    `oracles.phantom_probe_set_by_composition` builds the same list by
-    composing through the free cover.
+    and the tests.  Phantom maps into m are the composites pi o t through
+    the free cover pi: (Z/n)^r -> m, t over the entrywise generators of
+    Hom(cls, (Z/n)^r) for each source class cls; pi is generator to
+    generator, so for target factor e_i and source factor d_j the probe is
+    the single-entry matrix with (n / d_j) mod e_i at (i, j), or the zero
+    map, one shared object per class that `is_precover` decides once.
+    Generators of Hom(P, m), P indecomposable projective, follow as a guard.
+    `oracles.phantom_probe_set_by_composition` builds the same list.
     """
     n = m.ring.modulus
-    rank = m.rank
     probes = []
     for cls in module_classes(m.ring, size_bound):
-        zero = (0,) * cls.rank
-        zero_map = ModuleMorphism._trusted(cls, m, (zero,) * rank)
+        zero_map = ModuleMorphism.zero_map(cls, m)
         for i, ei in enumerate(m.invariant_factors):
-            above, below = (zero,) * i, (zero,) * (rank - i - 1)
             for j, dj in enumerate(cls.invariant_factors):
                 entry = (n // dj) % ei
-                if entry == 0:
-                    probes.append(zero_map)
-                    continue
-                row = zero[:j] + (entry,) + zero[j + 1:]
-                probes.append(ModuleMorphism._trusted(cls, m, above + (row,) + below))
+                probes.append(_single_entry(cls, m, i, j, entry) if entry else zero_map)
     for p in indecomposable_projectives(m.ring):
         probes.extend(hom_group(p, m))
     return probes
@@ -144,7 +133,7 @@ def is_precover(ideal: MorphismIdeal, phi: ModuleMorphism,
         if probe is prev:
             continue
         prev = probe
-        for d, y in zip(probe.source.invariant_factors, zip(*probe.matrix)):
+        for d, y in zip(probe.source.invariant_factors, probe.columns):
             if not any(y):
                 continue
             lifts = verdicts.get((d, y))
@@ -184,14 +173,10 @@ def projective_cover(m: FiniteModule) -> ModuleMorphism:
     """The minimal projective approximation: each invariant factor d is
     covered by the product of the full local factors p^(v_p(n)) over the
     primes dividing d, mapping generator to generator."""
-    ring = m.ring
-    full = ring.factorization
-    covers = []
-    for d in m.invariant_factors:
-        covers.append(prod(p ** full[p] for p, _ in factorize(d)))
-    p_mod = FiniteModule(ring, tuple(covers))
-    return ModuleMorphism(p_mod, m, tuple(
-        tuple(1 if i == j else 0 for j in range(m.rank)) for i in range(m.rank)))
+    full = m.ring.factorization
+    p_mod = FiniteModule(m.ring, tuple(prod(p ** full[p] for p, _ in factorize(d))
+                                       for d in m.invariant_factors))
+    return ModuleMorphism._trusted(p_mod, m, ModuleMorphism.identity(m).columns)
 
 
 def phantom_cover(m: FiniteModule) -> ModuleMorphism:

@@ -10,10 +10,10 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, product as _iterproduct
 from math import gcd, prod
-from operator import mul
+from operator import mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -23,10 +23,8 @@ from .errors import (
 )
 from .exact_linalg import (
     HowellForm,
-    IntMatrix,
     _unit_normalizer,
     _xgcd,
-    graph_form,
     graph_kernel,
     graph_solution,
     howell_form,
@@ -235,111 +233,144 @@ class FiniteModule:
         return " + ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
-@dataclass(frozen=True)
+def _combination(columns: Sequence[tuple[int, ...]], coeffs: Sequence[int],
+                 factors: tuple[int, ...]) -> tuple[int, ...]:
+    """sum(c * column) over the nonzero coefficients, reduced mod factors;
+    a lone coefficient 1 reads its column, which is already reduced."""
+    acc = None
+    for c, col in zip(coeffs, columns):
+        if c:
+            if acc is None:
+                acc, read = (col, True) if c == 1 else ([c * a for a in col], False)
+            else:
+                acc, read = [s + c * a for s, a in zip(acc, col)], False
+    if acc is None:
+        return (0,) * len(factors)
+    return acc if read else tuple(map(mod, acc, factors))
+
+
+@dataclass(frozen=True, init=False)
 class ModuleMorphism:
-    """A morphism between finite modules, given by an integer matrix whose
-    column j is the image of source generator j.  Entries are stored reduced
-    mod the target invariant factors, so equality is matrix equality."""
+    """A morphism between finite modules, stored by its columns: column j is
+    the image of source generator j, reduced mod the target invariant
+    factors, so equality is column equality.  Outside data enters through
+    the constructor, as rows, or `from_columns`, both checking that
+    d_j * column j == 0 in the target; `_trusted` builds the results that
+    are well defined by construction.  `matrix` is the row view."""
 
     source: FiniteModule
     target: FiniteModule
-    matrix: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.source.ring != self.target.ring:
+    def __init__(self, source: FiniteModule, target: FiniteModule,
+                 matrix: Sequence[Sequence[int]]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        self.__post_init__(matrix)
+
+    def __post_init__(self, matrix):
+        # the rows are read down to the first one of the wrong length, and
+        # an ill-defined entry above it is the error reported
+        rows, rank = tuple(matrix), self.source.rank
+        short = next((i for i, row in enumerate(rows) if len(row) != rank), len(rows))
+        self._check(zip(*rows[:short]) if short else ((),) * rank, len(rows))
+        if short < len(rows):
+            raise InputError("matrix column count must equal source rank")
+
+    def _check(self, columns: Iterable[Sequence[int]], nrows: int) -> "ModuleMorphism":
+        """Set the columns, reduced, once d_j * column j == 0 holds in the
+        target; IllDefinedMorphismError names the first entry, in row-major
+        order, where it does not."""
+        src, tgt = self.source, self.target
+        if src.ring != tgt.ring:
             raise InputError("source and target live over different rings")
-        tfac = self.target.invariant_factors
-        sfac = self.source.invariant_factors
-        if len(self.matrix) != len(tfac):
+        if nrows != tgt.rank:
             raise InputError("matrix row count must equal target rank")
-        reduced = []
-        for i, row in enumerate(self.matrix):
-            if len(row) != len(sfac):
-                raise InputError("matrix column count must equal source rank")
-            di = tfac[i]
-            red = tuple(int(a) % di for a in row)
-            for j, a in enumerate(red):
-                if (a * sfac[j]) % di != 0:
-                    raise IllDefinedMorphismError(i, j, di, sfac[j], a)
-            reduced.append(red)
-        object.__setattr__(self, "matrix", tuple(reduced))
+        tfac, sfac = tgt.invariant_factors, src.invariant_factors
+        cols = tuple(tuple(int(a) % e for a, e in zip(col, tfac)) for col in columns)
+        bad = min(((i, j) for j, (d, col) in enumerate(zip(sfac, cols))
+                   for i, (a, e) in enumerate(zip(col, tfac)) if a * d % e), default=None)
+        if bad is not None:
+            i, j = bad
+            raise IllDefinedMorphismError(i, j, tfac[i], sfac[j], cols[j][i])
+        object.__setattr__(self, "columns", cols)
+        return self
 
     @classmethod
     def _trusted(cls, source: FiniteModule, target: FiniteModule,
-                 matrix: tuple[tuple[int, ...], ...]) -> "ModuleMorphism":
-        """A morphism whose entries are already reduced mod the target
-        invariant factors and well defined by construction (a composite, a
-        sum, a verified lift).  Skips the congruence check, so it is for
-        internal results only: outside input goes through the constructor."""
+                 columns: tuple[tuple[int, ...], ...]) -> "ModuleMorphism":
+        """A morphism whose columns are reduced and well defined by
+        construction, built unchecked: for internal results only."""
         f = object.__new__(cls)
-        object.__setattr__(f, "source", source)
-        object.__setattr__(f, "target", target)
-        object.__setattr__(f, "matrix", matrix)
+        d = f.__dict__
+        d["source"], d["target"], d["columns"] = source, target, columns
         return f
 
     def __hash__(self):
         # memoized: the left-factor form cache hashes the same morphism per lookup
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.source, self.target, self.matrix))
+            h = hash((self.source, self.target, self.columns))
             object.__setattr__(self, "_hash", h)
         return h
 
     @classmethod
     def identity(cls, m: FiniteModule) -> "ModuleMorphism":
-        k = m.rank
-        return cls(m, m, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
+        return cls._trusted(m, m, tuple(m.generator(j) for j in range(m.rank)))
 
     @classmethod
     def zero_map(cls, source: FiniteModule, target: FiniteModule) -> "ModuleMorphism":
-        return cls(source, target, tuple((0,) * source.rank for _ in range(target.rank)))
+        return cls._trusted(source, target, ((0,) * target.rank,) * source.rank)
 
     @classmethod
     def from_columns(cls, source: FiniteModule, target: FiniteModule,
                      columns: Sequence[Sequence[int]]) -> "ModuleMorphism":
-        rows = tuple(tuple(col[i] for col in columns) for i in range(target.rank))
-        return cls(source, target, rows)
+        if len(columns) != source.rank or any(len(c) != target.rank for c in columns):
+            raise InputError("need one column per source generator, of the target rank")
+        return cls._trusted(source, target, ())._check(columns, target.rank)
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The rows, built on each read: for serialization."""
+        return tuple(zip(*self.columns)) if self.columns else ((),) * self.target.rank
 
     def apply(self, x: Sequence[int]) -> tuple[int, ...]:
         if len(x) != self.source.rank:
             raise InputError("element has wrong coordinate count")
-        return tuple(sum(map(mul, row, x)) % ei
-                     for row, ei in zip(self.matrix, self.target.invariant_factors))
+        return _combination(self.columns, x, self.target.invariant_factors)
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.matrix)
+        return self.columns[j]
 
     @property
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.matrix for a in row)
+        return not any(map(any, self.columns))
 
     def __add__(self, other: "ModuleMorphism") -> "ModuleMorphism":
         if self.source != other.source or self.target != other.target:
             raise InputError("morphism sum needs matching source and target")
+        tfac = self.target.invariant_factors
         return ModuleMorphism._trusted(self.source, self.target, tuple(
-            tuple((a + b) % d for a, b in zip(r1, r2))
-            for r1, r2, d in zip(self.matrix, other.matrix,
-                                 self.target.invariant_factors)))
+            tuple((a + b) % d for a, b, d in zip(c1, c2, tfac))
+            for c1, c2 in zip(self.columns, other.columns)))
 
     def __neg__(self) -> "ModuleMorphism":
+        tfac = self.target.invariant_factors
         return ModuleMorphism._trusted(self.source, self.target, tuple(
-            tuple(-a % d for a in row)
-            for row, d in zip(self.matrix, self.target.invariant_factors)))
+            tuple(-a % d for a, d in zip(col, tfac)) for col in self.columns))
 
     def __sub__(self, other: "ModuleMorphism") -> "ModuleMorphism":
         return self + (-other)
 
 
 def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
-    """g after f.  Matrix product reduced mod the target invariant factors,
-    each entry a dot product of a row of g with a column of f."""
+    """g after f.  Column j is g applied to column j of f: the combination
+    of g's columns by its nonzero entries."""
     if f.target != g.source:
         raise InputError("compose: domain mismatch")
-    # zip(*()) has no columns at all, so a rank-0 middle module gets empty ones
-    cols = tuple(zip(*f.matrix)) if f.matrix else ((),) * f.source.rank
+    tfac = g.target.invariant_factors
     return ModuleMorphism._trusted(f.source, g.target, tuple(
-        tuple(sum(map(mul, grow, col)) % ei for col in cols)
-        for grow, ei in zip(g.matrix, g.target.invariant_factors)))
+        _combination(g.columns, col, tfac) for col in f.columns))
 
 
 def hom_group(m: FiniteModule, n: FiniteModule) -> tuple[ModuleMorphism, ...]:
@@ -350,34 +381,23 @@ def hom_group(m: FiniteModule, n: FiniteModule) -> tuple[ModuleMorphism, ...]:
     """
     if m.ring != n.ring:
         raise InputError("hom_group: ring mismatch")
-    gens = []
-    for i, ei in enumerate(n.invariant_factors):
-        for j, dj in enumerate(m.invariant_factors):
-            g = gcd(dj, ei)
-            if g > 1:
-                rows = [[0] * m.rank for _ in range(n.rank)]
-                rows[i][j] = ei // g
-                gens.append(ModuleMorphism._trusted(m, n, tuple(tuple(r) for r in rows)))
-    return tuple(gens)
+    return tuple(_single_entry(m, n, i, j, ei // gcd(dj, ei))
+                 for i, ei in enumerate(n.invariant_factors)
+                 for j, dj in enumerate(m.invariant_factors) if gcd(dj, ei) > 1)
+
+
+def _single_entry(source: FiniteModule, target: FiniteModule,
+                  i: int, j: int, a: int) -> ModuleMorphism:
+    """The morphism whose one nonzero entry, a, well defined and reduced,
+    is at (i, j)."""
+    zero = (0,) * target.rank
+    return ModuleMorphism._trusted(source, target, (zero,) * j + (
+        zero[:i] + (a,) + zero[i + 1:],) + (zero,) * (source.rank - j - 1))
 
 
 # ---------------------------------------------------------------------------
-# scaled congruence systems
+# scaled coordinates and submodules
 # ---------------------------------------------------------------------------
-
-def _element_system(n: int, moduli: Sequence[int], columns: Sequence[Sequence[int]],
-                    rhs: Sequence[int]) -> tuple[IntMatrix, list[int]]:
-    """The congruences sum_j x_j * columns[j][k] == rhs[k] (mod moduli[k]),
-    each modulus dividing n, as one system over Z/n: row k is scaled by
-    n / moduli[k].  Every hand-built congruence system goes through here."""
-    rows = []
-    b = []
-    for k, m in enumerate(moduli):
-        s = n // m
-        rows.append([s * col[k] for col in columns])
-        b.append(s * rhs[k])
-    return IntMatrix.from_rows(rows, cols=len(columns)), b
-
 
 def _scaled(mod: FiniteModule, x: Sequence[int]) -> tuple[int, ...]:
     """x in (Z/n)^t through x_i -> (n/d_i) x_i, for x reduced: an injective
@@ -488,9 +508,9 @@ def _quotient_structure(n: int, ncoords: int, relations: Sequence[Sequence[int]]
                         diagonal: Optional[Sequence[int]] = None):
     """Canonical data for (Z/n)^ncoords / <relations, d_i * e_i>.
 
-    Returns (factors, proj_rows, lift_cols): `factors` are the nontrivial
-    invariant factors, `proj_rows[k]` expresses canonical generator k in the
-    ambient coordinates, and `lift_cols[k]` is a preimage of it, in [0, n).
+    Returns (factors, proj_cols, lift_cols): `factors` are the nontrivial
+    invariant factors, `proj_cols[i]` is the image of ambient generator i,
+    and `lift_cols[k]` a preimage of canonical generator k, in [0, n).
     `diagonal`, one positive d_i per coordinate, stands for the relations
     d_i * e_i after `relations`.  The relation lattice must contain n Z^t,
     as every caller's does, so the form is computed on residues mod n.
@@ -498,17 +518,19 @@ def _quotient_structure(n: int, ncoords: int, relations: Sequence[Sequence[int]]
     The relations are the rows of a matrix A.  Row operations leave their
     span alone and are not tracked; each column operation is applied to A,
     to V and, inverted, to V^-1, so A V stays a basis of the relations in
-    the coordinates x V.  At each step the pivot is the entry with the
-    least gcd(entry, n), first in row-major order; its row and column are
-    swapped into place and its row is scaled by a unit to that gcd.
-    Unimodular 2x2 column operations clear the pivot row, row operations
-    clear the pivot column, and a row operation that lowers the pivot sends
-    the step back to its row.  One 2x2 column operation per pair out of
-    order turns the diagonal into a divisibility chain (Storjohann,
-    "Algorithms for matrix canonical forms", 2000).  Canonical generator k
-    is then coordinate k of x V: its projection row is column k of V and
-    its lift row k of V^-1.  On a diagonal lattice whose swap order is a
-    divisibility chain, V is a permutation matrix.
+    the coordinates x V; a subtraction col_j -= q col_t changes only entry
+    j of each row, column j of V and row t of V^-1.  At each step the pivot
+    is the entry with the least gcd(entry, n), first in row-major order;
+    its row and column are swapped into place and its row is scaled by a
+    unit to that gcd.  Unimodular 2x2 column operations clear the pivot
+    row, row operations clear the pivot column, and a row operation that
+    lowers the pivot sends the step back to its row.  One 2x2 column
+    operation per pair out of order turns the diagonal into a divisibility
+    chain (Storjohann, "Algorithms for matrix canonical forms", 2000).
+    Canonical generator k is then coordinate k of x V: projection column i
+    is row i of V, reduced, and the lift of k is row k of V^-1.  On a
+    diagonal lattice whose swap order is a divisibility chain, V is a
+    permutation matrix.
     """
     a = [[x % n for x in rel] for rel in relations]
     if diagonal is not None:
@@ -528,6 +550,13 @@ def _quotient_structure(n: int, ncoords: int, relations: Sequence[Sequence[int]]
         x, y = v_inv[t], v_inv[j]
         v_inv[t] = [(e22 * p - e12 * q) % n for p, q in zip(x, y)]
         v_inv[j] = [(e11 * q - e21 * p) % n for p, q in zip(x, y)]
+
+    def subtract(rows, t, j, q):
+        # column j <- column j - q column t
+        for r in rows:
+            r[j] = (r[j] - q * r[t]) % n
+        v_cols[j] = [(y - q * x) % n for x, y in zip(v_cols[t], v_cols[j])]
+        v_inv[t] = [(x + q * y) % n for x, y in zip(v_inv[t], v_inv[j])]
 
     # rows before t are finished: zero but for their pivot at column t
     t = 0
@@ -562,7 +591,7 @@ def _quotient_structure(n: int, ncoords: int, relations: Sequence[Sequence[int]]
                 if not b:
                     continue
                 if b % p == 0:
-                    column_op(a[t:], t, j, 1, 0, -(b // p), 1)
+                    subtract(a[t:], t, j, b // p)
                 else:
                     g, s, w = _xgcd(p, b)
                     column_op(a[t:], t, j, s, w, -(b // g), p // g)
@@ -587,7 +616,7 @@ def _quotient_structure(n: int, ncoords: int, relations: Sequence[Sequence[int]]
                 diag[i], diag[j] = g, d // g * e
     kept = [k for k in range(ncoords) if diag[k] != 1]
     return (tuple(diag[k] for k in kept),
-            [tuple(x % diag[k] for x in v_cols[k]) for k in kept],
+            [tuple(v_cols[k][i] % diag[k] for k in kept) for i in range(ncoords)],
             [tuple(v_inv[k]) for k in kept])
 
 
@@ -603,29 +632,28 @@ class QuotientData:
         """The morphism out of the quotient induced by c, a morphism out of
         the ambient module that kills the subgroup: canonical generator k
         goes to c of its lift, the same for any lift."""
-        return ModuleMorphism.from_columns(self.module, c.target,
-                                           [c.apply(lift) for lift in self.lifts])
+        return ModuleMorphism._trusted(self.module, c.target,
+                                       tuple(c.apply(lift) for lift in self.lifts))
 
     def lift(self, y: Sequence[int]) -> tuple[int, ...]:
         """Some element of the ambient module projecting to y: sum(y_k * lift_k)."""
         amb = self.projection.source
-        return amb.reduce([sum(c * lift[i] for c, lift in zip(y, self.lifts))
-                           for i in range(amb.rank)])
+        return amb.reduce(_combination(self.lifts, y, (amb.ring.modulus,) * amb.rank))
 
 
 def quotient_by(ambient: FiniteModule, generators: Sequence[Sequence[int]]) -> QuotientData:
     """ambient / <generators> in canonical form with projection and lifts."""
-    factors, proj_rows, lift_cols = _quotient_structure(
+    factors, proj_cols, lift_cols = _quotient_structure(
         ambient.ring.modulus, ambient.rank, [ambient.reduce(g) for g in generators],
         ambient.invariant_factors)
     q = FiniteModule(ambient.ring, factors)
-    projection = ModuleMorphism(ambient, q, tuple(proj_rows))
+    projection = ModuleMorphism._trusted(ambient, q, tuple(proj_cols))
     return QuotientData(q, projection, tuple(lift_cols))
 
 
 def cokernel(f: ModuleMorphism) -> tuple[FiniteModule, ModuleMorphism]:
     """Cokernel with its projection, target / image(f) in canonical form."""
-    qd = quotient_by(f.target, [f.column(j) for j in range(f.source.rank)])
+    qd = quotient_by(f.target, f.columns)
     return qd.module, qd.projection
 
 
@@ -679,7 +707,7 @@ def subgroup_presentation(sub: Submodule) -> tuple[FiniteModule, ModuleMorphism]
     its `slice_generators` over zero, so it depends on the subgroup alone."""
     pairs = slice_generators(Submodule.zero(sub.ambient), sub)
     module = FiniteModule(sub.ambient.ring, tuple(d for d, _ in pairs))
-    return module, ModuleMorphism.from_columns(module, sub.ambient, [g for _, g in pairs])
+    return module, ModuleMorphism._trusted(module, sub.ambient, tuple(g for _, g in pairs))
 
 
 @lru_cache(maxsize=None)
@@ -692,7 +720,7 @@ def kernel(f: ModuleMorphism) -> tuple[FiniteModule, ModuleMorphism]:
 
 
 def image_submodule(f: ModuleMorphism) -> Submodule:
-    return Submodule(f.target, tuple(f.column(j) for j in range(f.source.rank)))
+    return Submodule._reduced(f.target, f.columns)
 
 
 def is_injective(f: ModuleMorphism) -> bool:
@@ -713,28 +741,23 @@ def is_automorphism(f: ModuleMorphism) -> bool:
 # factorization solvers
 # ---------------------------------------------------------------------------
 
-def _left_factor_system(g: ModuleMorphism, dq: int,
-                        y: Sequence[int]) -> tuple[IntMatrix, list[int]]:
-    """x in g.source with g(x) == y and dq * x == 0: the congruences of g
-    mod the target factors, then an annihilation row for each source factor
-    d_p not dividing dq (scaled to Z/n, the row of any other d_p is zero)."""
-    src = g.source
-    kept = [p for p, d in enumerate(src.invariant_factors) if dq % d]
-    cols = [g.column(p) + tuple(dq if pp == p else 0 for pp in kept) for p in range(src.rank)]
-    moduli = g.target.invariant_factors + tuple(src.invariant_factors[p] for p in kept)
-    return _element_system(src.ring.modulus, moduli, cols, tuple(y) + (0,) * len(kept))
-
-
 @lru_cache(maxsize=None)
 def _lift_form(g: ModuleMorphism, dq: int) -> HowellForm:
-    """Graph form of g's left-factor system at order dq.  The system's
-    matrix does not depend on the column being lifted, so every lift
-    through g at order dq, and the kernel columns, read this one form.
+    """Graph form (`exact_linalg.graph_form`) of the congruences on x in
+    g.source, scaled to Z/n: g(x) == y, and dq * x == 0 mod each source
+    factor d_p not dividing dq.  Unknown p's row is column p of g scaled
+    (`_scaled`), dq scaled in its own annihilation slot, then e_p.  It does
+    not depend on y, so every lift through g at order dq, and the kernel
+    columns, read this one form.
 
     Cached by equality: retract chases and the suite's factorization checks
     lift through equal morphisms that are distinct objects."""
-    a, _ = _left_factor_system(g, dq, (0,) * g.target.rank)
-    return graph_form(a, g.source.ring.modulus)
+    src = g.source
+    n = src.ring.modulus
+    kept = [(p, n // d * dq) for p, d in enumerate(src.invariant_factors) if dq % d]
+    return howell_form([[*_scaled(g.target, col), *(a if pp == p else 0 for pp, a in kept),
+                         *(int(k == p) for k in range(src.rank))]
+                        for p, col in enumerate(g.columns)], n, g.target.rank + len(kept) + src.rank)
 
 
 def _lift_column(g: ModuleMorphism, dq: int, y: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -768,13 +791,12 @@ def solve_left_factor(g: ModuleMorphism, psi: ModuleMorphism) -> Optional[Module
     if g.source.ring != psi.source.ring:
         raise InputError("solve_left_factor: ring mismatch")
     cols = []
-    for q in range(psi.source.rank):
-        sol = _lift_column(g, psi.source.invariant_factors[q], psi.column(q))
+    for dq, y in zip(psi.source.invariant_factors, psi.columns):
+        sol = _lift_column(g, dq, y)
         if sol is None:
             return None
         cols.append(sol)
-    return ModuleMorphism._trusted(psi.source, g.source, tuple(
-        tuple(col[i] for col in cols) for i in range(g.source.rank)))
+    return ModuleMorphism._trusted(psi.source, g.source, tuple(cols))
 
 
 def torsion_image(g: ModuleMorphism, d: int) -> Submodule:
@@ -787,7 +809,7 @@ def torsion_image(g: ModuleMorphism, d: int) -> Submodule:
     """
     return Submodule(g.target, tuple(
         tuple(c * (di // gcd(di, d)) for c in col)
-        for di, col in zip(g.source.invariant_factors, zip(*g.matrix))))
+        for di, col in zip(g.source.invariant_factors, g.columns)))
 
 
 def _kernel_column_gens(g: ModuleMorphism, dq: int) -> list[tuple[int, ...]]:
@@ -836,11 +858,8 @@ class DirectSum:
     def copair(self, legs: Sequence[ModuleMorphism]) -> ModuleMorphism:
         """The morphism out of the sum that is legs[i] on summand i: the sum
         of each leg after its projection."""
-        c = None
-        for leg, proj in zip(legs, self.projections, strict=True):
-            term = compose(leg, proj)
-            c = term if c is None else c + term
-        return c
+        return reduce(ModuleMorphism.__add__, (
+            compose(leg, proj) for leg, proj in zip(legs, self.projections, strict=True)))
 
 
 def direct_sum(summands: Sequence[FiniteModule]) -> DirectSum:
@@ -851,7 +870,7 @@ def direct_sum(summands: Sequence[FiniteModule]) -> DirectSum:
     if any(m.ring != ring for m in summands):
         raise InputError("direct_sum: ring mismatch")
     concat = [d for m in summands for d in m.invariant_factors]
-    factors, proj_rows, lift_cols = _quotient_structure(ring.modulus, len(concat),
+    factors, proj_cols, lift_cols = _quotient_structure(ring.modulus, len(concat),
                                                         diagonal=concat)
     module = FiniteModule(ring, factors)
     injections = []
@@ -859,9 +878,9 @@ def direct_sum(summands: Sequence[FiniteModule]) -> DirectSum:
     off = 0
     for m in summands:
         end = off + m.rank
-        injections.append(ModuleMorphism(m, module, tuple(row[off:end] for row in proj_rows)))
-        projections.append(ModuleMorphism.from_columns(
-            module, m, [col[off:end] for col in lift_cols]))
+        injections.append(ModuleMorphism._trusted(m, module, tuple(proj_cols[off:end])))
+        projections.append(ModuleMorphism._trusted(
+            module, m, tuple(m.reduce(col[off:end]) for col in lift_cols)))
         off = end
     return DirectSum(module, tuple(injections), tuple(projections))
 
@@ -885,7 +904,7 @@ def pushout(u: ModuleMorphism, v: ModuleMorphism) -> Pushout:
         raise InputError("pushout: the two morphisms must share their source")
     ds = direct_sum((v.target, u.target))
     w = compose(ds.injections[0], v) - compose(ds.injections[1], u)
-    qd = quotient_by(ds.module, [w.column(j) for j in range(w.source.rank)])
+    qd = quotient_by(ds.module, w.columns)
     u_prime = compose(qd.projection, ds.injections[0])
     v_prime = compose(qd.projection, ds.injections[1])
     if compose(u_prime, v) != compose(v_prime, u):

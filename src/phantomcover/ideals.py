@@ -24,7 +24,7 @@ from .finmod import (
     ModuleMorphism,
     Ring,
     _colimit_at_top,
-    _element_system,
+    _scaled,
     colimit_mediating,
     compose,
     hom_group,
@@ -45,8 +45,7 @@ class ProjectiveFactorization:
 def free_cover_epi(m: FiniteModule) -> ModuleMorphism:
     """The canonical epimorphism (Z/n)^rank -> m, generator to generator."""
     free = FiniteModule.free(m.ring, m.rank)
-    return ModuleMorphism(free, m, tuple(
-        tuple(1 if i == j else 0 for j in range(m.rank)) for i in range(m.rank)))
+    return ModuleMorphism._trusted(free, m, ModuleMorphism.identity(m).columns)
 
 
 def factors_through_projective(f: ModuleMorphism) -> Optional[ProjectiveFactorization]:
@@ -70,9 +69,10 @@ def is_phantom(f: ModuleMorphism) -> bool:
     the test is one divisibility per matrix entry.
     """
     n = f.source.ring.modulus
-    return all(f.matrix[i][q] % gcd(n // dq, ei) == 0
-               for i, ei in enumerate(f.target.invariant_factors)
-               for q, dq in enumerate(f.source.invariant_factors))
+    tfac = f.target.invariant_factors
+    return all(a % gcd(n // dq, ei) == 0
+               for dq, col in zip(f.source.invariant_factors, f.columns)
+               for a, ei in zip(col, tfac))
 
 
 _GENERATED = "generated"
@@ -159,16 +159,17 @@ def ideal_membership(ideal: MorphismIdeal, f: ModuleMorphism) -> bool:
 
 
 def _hom_subgroup_contains(span: list[ModuleMorphism], f: ModuleMorphism) -> bool:
-    """Is f in the subgroup of Hom(source, target) generated by span?
-    Entry (i, j) is one congruence mod the target factor e_i; scaled to
-    Z/n (`_element_system`), the span's matrices are the rows of one Howell
-    form, and f is in the subgroup exactly when the form contains it."""
-    n = f.source.ring.modulus
-    moduli = [ei for ei in f.target.invariant_factors for _ in range(f.source.rank)]
-    cols = [[x for row in g.matrix for x in row] for g in span]
-    rhs = [x for row in f.matrix for x in row]
-    a, b = _element_system(n, moduli, cols, rhs)
-    return howell_form([a.column(j) for j in range(a.cols)], n, a.rows).contains(b)
+    """Is f in the subgroup of Hom(source, target) generated by span?  Hom
+    embeds in (Z/n)^(source rank * target rank), a morphism going to its
+    columns in the scaled coordinates of `_scaled`, so f is in the subgroup
+    exactly when the Howell form of the span's images contains its image."""
+    tgt = f.target
+
+    def flat(g: ModuleMorphism) -> list[int]:
+        return [x for col in g.columns for x in _scaled(tgt, col)]
+
+    return howell_form([flat(g) for g in span], tgt.ring.modulus,
+                       tgt.rank * f.source.rank).contains(flat(f))
 
 
 @dataclass(frozen=True)

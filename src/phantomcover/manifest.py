@@ -157,9 +157,7 @@ def _vectors(text: str, lineno: int) -> list[tuple[int, ...]]:
 
 
 def _serialize_matrix(f: ModuleMorphism) -> str:
-    if f.target.rank == 0 or f.source.rank == 0:
-        return ""
-    return ";".join(",".join(str(a) for a in row) for row in f.matrix)
+    return ";".join(",".join(str(a) for a in row) for row in f.matrix) if f.columns else ""
 
 
 def _fields(rest: str, lineno: int) -> dict[str, str]:

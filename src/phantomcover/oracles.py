@@ -22,7 +22,6 @@ from .finmod import (
     Pushout,
     QuotientData,
     Submodule,
-    _element_system,
     compose,
     direct_sum,
     hom_group,
@@ -230,13 +229,26 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                               u_inv=pack(uinv, m))
 
 
+def _element_system(n: int, moduli: Sequence[int], columns: Sequence[Sequence[int]],
+                    rhs: Sequence[int]) -> tuple[IntMatrix, list[int]]:
+    """The congruences sum_j x_j * columns[j][k] == rhs[k] (mod moduli[k]),
+    each modulus dividing n, as one system over Z/n: row k is scaled by
+    n / moduli[k].  Every solver route's congruence system goes through here."""
+    rows = []
+    b = []
+    for k, m in enumerate(moduli):
+        s = n // m
+        rows.append([s * col[k] for col in columns])
+        b.append(s * rhs[k])
+    return IntMatrix.from_rows(rows, cols=len(columns)), b
+
+
 def element_preimage(f: ModuleMorphism, y: Sequence[int]) -> Optional[tuple[int, ...]]:
     """The lexicographically lowest x with f(x) == y, or None, from one
     `solve_mod` system."""
     y = f.target.reduce(y)
-    cols = [f.column(j) for j in range(f.source.rank)]
     n = f.source.ring.modulus
-    sol = solve_mod(*_element_system(n, f.target.invariant_factors, cols, y), n)
+    sol = solve_mod(*_element_system(n, f.target.invariant_factors, f.columns, y), n)
     if sol is None:
         return None
     return f.source.reduce(sol)
@@ -251,12 +263,12 @@ def mediating_by_solver(po: Pushout, a: ModuleMorphism,
     n = x.ring.modulus
     # unknown q is entry q of a row of m: m o u' == a and m o v' == b on
     # that row, and the row kills d_q * e_q
-    cols = [po.u_prime.matrix[q] + po.v_prime.matrix[q]
-            + tuple(dq if qq == q else 0 for qq in range(x.rank))
-            for q, dq in enumerate(x.invariant_factors)]
+    cols = [ur + vr + tuple(dq if qq == q else 0 for qq in range(x.rank))
+            for q, (dq, ur, vr) in enumerate(zip(x.invariant_factors, po.u_prime.matrix,
+                                                po.v_prime.matrix))]
     rows_out = []
-    for i, ci in enumerate(c_mod.invariant_factors):
-        rhs = a.matrix[i] + b.matrix[i] + (0,) * x.rank
+    for ci, ar, br in zip(c_mod.invariant_factors, a.matrix, b.matrix):
+        rhs = ar + br + (0,) * x.rank
         sol = solve_mod(*_element_system(n, [ci] * len(rhs), cols, rhs), n)
         if sol is None:
             return None
@@ -293,8 +305,8 @@ def colimit_by_gluing(diagram: Diagram) -> GluedColimit:
     diagram.validate()
     ds = direct_sum(diagram.objects)
     inj = ds.injections
-    rels = [ds.module.sub(inj[i].column(q), inj[i + 1].apply(g.column(q)))
-            for i, g in enumerate(diagram.steps) for q in range(g.source.rank)]
+    rels = [ds.module.sub(x, inj[i + 1].apply(y))
+            for i, g in enumerate(diagram.steps) for x, y in zip(inj[i].columns, g.columns)]
     qd = quotient_by(ds.module, rels)
     structural = tuple(compose(qd.projection, j) for j in inj)
     for i, g in enumerate(diagram.steps):
@@ -316,8 +328,8 @@ def is_direct_summand(sub: Submodule) -> Optional[ModuleMorphism]:
     t = amb.rank
     # unknown q is entry q of a row of r: r o emb == id on that row, and
     # the row kills d_q * e_q
-    cols = [emb.matrix[q] + tuple(dq if qq == q else 0 for qq in range(t))
-            for q, dq in enumerate(amb.invariant_factors)]
+    cols = [row + tuple(dq if qq == q else 0 for qq in range(t))
+            for q, (dq, row) in enumerate(zip(amb.invariant_factors, emb.matrix))]
     rows_out = []
     for i, ki in enumerate(k.invariant_factors):
         rhs = [1 if l == i else 0 for l in range(k.rank)] + [0] * t

@@ -24,6 +24,7 @@ from .finmod import (
     colimit_mediating,
     compose,
     direct_sum,
+    image_submodule,
     purity_forms,
     quotient_by,
     slice_generators,
@@ -335,11 +336,7 @@ def extension_counterexample(ideal: MorphismIdeal,
     bb = direct_sum((b, b))
     mid_map = compose(bb.injections[0], compose(f, aa.projections[1]))
     middle = RepA2(aa.module, bb.module, mid_map)
-    sub = SubRep(
-        middle,
-        Submodule(aa.module, tuple(aa.injections[0].column(j) for j in range(a.rank))),
-        Submodule(bb.module, tuple(bb.injections[0].column(j) for j in range(b.rank))),
-    )
+    sub = SubRep(middle, image_submodule(aa.injections[0]), image_submodule(bb.injections[0]))
     sub_rep, _ = restrict_rep(sub)
     quot_rep, _ = quotient_rep(sub)
     result = ExtensionCounterexample(

@@ -204,9 +204,8 @@ def prop_pushout_universal(chk, rng, ring):
     solved = _oracles.mediating_by_solver(po, a, b)
     chk.ensure(solved == med, "solver route found a different mediating morphism",
                u=u, v=v)
-    gens = [po.u_prime.column(j) for j in range(po.u_prime.source.rank)]
-    gens += [po.v_prime.column(j) for j in range(po.v_prime.source.rank)]
-    chk.ensure(Submodule(po.module, tuple(gens)).cardinality == po.module.cardinality,
+    gens = po.u_prime.columns + po.v_prime.columns
+    chk.ensure(Submodule(po.module, gens).cardinality == po.module.cardinality,
                "structural maps are not jointly epic", u=u, v=v)
 
 
@@ -215,9 +214,7 @@ def prop_colimit_constant(chk, rng, ring):
     ident = ModuleMorphism.identity(m)
     col = directed_colimit(Diagram([m, m, m], [ident, ident]))
     chk.ensure(col.module == m, "constant colimit is not the object", obj=m)
-    gens = []
-    for s in col.structural:
-        gens.extend(s.column(j) for j in range(s.source.rank))
+    gens = [x for s in col.structural for x in s.columns]
     chk.ensure(Submodule(col.module, tuple(gens)).cardinality == col.module.cardinality,
                "structural maps not jointly epic", obj=m)
 

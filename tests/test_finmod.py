@@ -10,9 +10,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import elements, modules, modules_with_submodule, morphisms, rings, submodules
-from phantomcover import finmod, ideals, rep_a2
+from phantomcover import approx, finmod, ideals, oracles, rep_a2
 from phantomcover.errors import IllDefinedMorphismError, InputError, InternalConsistencyError
-from phantomcover.exact_linalg import IntMatrix, solution_space_mod, solve_mod
+from phantomcover.exact_linalg import IntMatrix, graph_form, solution_space_mod, solve_mod
 from phantomcover.filtration import FiltrationConfig, build_filtration
 from phantomcover.finmod import (
     Diagram,
@@ -885,9 +885,9 @@ def test_solve_left_factor_and_inverse():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_trusted_morphisms_pass_the_checking_constructor(data):
-    # compose, +, -, hom_group and solve_left_factor build without the
-    # congruence check; the checking constructor must accept each result
-    # unchanged, and the memoized hash must agree with the rebuilt one
+    # every site that builds a morphism without the congruence check: the
+    # checking constructor must accept each result, read back from its
+    # rows, unchanged, and the memoized hash must agree with the rebuilt one
     ring = data.draw(rings(moduli=(2, 3, 4, 6, 8, 9, 12, 16)))
     a, b, c = (data.draw(modules(ring, max_card=32, max_rank=3)) for _ in range(3))
     f, f2 = data.draw(morphisms(a, b)), data.draw(morphisms(a, b))
@@ -895,13 +895,22 @@ def test_trusted_morphisms_pass_the_checking_constructor(data):
     psi = compose(g, f)
     j = solve_left_factor(g, psi)
     assert j is not None and compose(g, j) == psi  # f itself is a solution
-    built = [psi, f + f2, -f, f - f2, j, *hom_group(a, b)]
+    ds = direct_sum((a, b))
+    qd = quotient_by(b, data.draw(submodules(b)).generators)
+    out = data.draw(morphisms(qd.module, c))
+    induced = qd.induced(compose(out, qd.projection))
+    assert induced == out
+    built = [psi, f + f2, -f, f - f2, j, *hom_group(a, b), *ds.injections, *ds.projections,
+             ModuleMorphism.identity(a), ModuleMorphism.zero_map(a, b), ideals.free_cover_epi(b),
+             approx.projective_cover(b), qd.projection, induced, cokernel(f)[1],
+             subgroup_presentation(data.draw(submodules(b)))[1], kernel(g)[1],
+             *approx.phantom_probe_set(b, size_bound=16)]
     other = solve_left_factor(g, data.draw(morphisms(a, c)))
     if other is not None:
         built.append(other)
     for h in built:
         rebuilt = ModuleMorphism(h.source, h.target, h.matrix)
-        assert rebuilt.matrix == h.matrix
+        assert rebuilt.columns == h.columns
         assert rebuilt == h and hash(rebuilt) == hash(h) == hash(h)
 
 
@@ -968,7 +977,7 @@ def _untrimmed_left_factor_system(g, dq, y):
     src = g.source
     cols = [g.column(p) + tuple(dq if pp == p else 0 for pp in range(src.rank))
             for p in range(src.rank)]
-    return finmod._element_system(src.ring.modulus,
+    return oracles._element_system(src.ring.modulus,
                                   g.target.invariant_factors + src.invariant_factors,
                                   cols, tuple(y) + (0,) * src.rank)
 
@@ -1030,8 +1039,8 @@ def test_lift_form_drops_the_zero_annihilation_rows():
     g = morph(mod(z8, 8, 8, 8), mod(z8, 2, 4, 8), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert finmod._lift_form(g, 8).width == 6
     assert finmod._lift_form(g, 4).width == 9
-    system, rhs = finmod._left_factor_system(g, 8, (1, 1, 1))
-    assert (system.rows, system.cols, rhs) == (3, 3, [4, 2, 1])
+    system, rhs = oracles._element_system(8, g.target.invariant_factors, g.columns, (1, 1, 1))
+    assert finmod._lift_form(g, 8) == graph_form(system, 8) and rhs == [4, 2, 1]
     assert solve_left_factor(g, g) == ModuleMorphism.identity(g.source)
     for order in (mod(z8, 8), mod(z8, 4, 8)):
         assert (left_factor_kernel_columns(g, order)
@@ -1061,9 +1070,11 @@ def _smith_factors(n, ncoords, relations):
 def _checked_quotient_structure(n, t, relations=(), diagonal=None):
     """`_quotient_structure` with the properties that make it a canonical
     quotient: its factors are the Smith oracle's, each projection row kills
-    every relation and the diagonal, and lift k projects to e_k."""
-    structure = finmod._quotient_structure(n, t, relations, diagonal)
-    factors, proj_rows, lift_cols = structure
+    every relation and the diagonal, and lift k projects to e_k.  Returns
+    the projection by rows, one per factor, in place of its columns."""
+    factors, proj_cols, lift_cols = finmod._quotient_structure(n, t, relations, diagonal)
+    assert len(proj_cols) == t and all(len(col) == len(factors) for col in proj_cols)
+    proj_rows = [tuple(col[k] for col in proj_cols) for k in range(len(factors))]
     rels = [*relations, *([d if i == j else 0 for i in range(t)]
                           for j, d in enumerate(diagonal or ()))]
     assert factors == _smith_factors(n, t, rels)
@@ -1075,7 +1086,7 @@ def _checked_quotient_structure(n, t, relations=(), diagonal=None):
         assert all(0 <= x < n for x in lift)
         assert [sum(map(mul, row, lift)) % f for f, row in zip(factors, proj_rows)] == \
             [int(q == k) for q in range(len(factors))]
-    return structure
+    return factors, proj_rows, lift_cols
 
 
 QUOTIENT_MODULI = (2, 3, 4, 6, 8, 9, 12, 16, 18, 36, 72)

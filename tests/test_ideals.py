@@ -10,7 +10,6 @@ from phantomcover.finmod import (
     FiniteModule,
     ModuleMorphism,
     Ring,
-    _element_system,
     compose,
     is_projective,
 )
@@ -26,7 +25,7 @@ from phantomcover.ideals import (
     is_phantom,
     projective_identity_ideal,
 )
-from phantomcover.oracles import exhaustive_homs, phantom_by_probes
+from phantomcover.oracles import _element_system, exhaustive_homs, phantom_by_probes
 
 Z4 = Ring(4)
 
