@@ -25,6 +25,7 @@ from .exact_linalg import (
     HowellForm,
     _unit_normalizer,
     _xgcd,
+    graph_form,
     graph_kernel,
     graph_solution,
     howell_form,
@@ -745,9 +746,9 @@ def is_automorphism(f: ModuleMorphism) -> bool:
 def _lift_form(g: ModuleMorphism, dq: int) -> HowellForm:
     """Graph form (`exact_linalg.graph_form`) of the congruences on x in
     g.source, scaled to Z/n: g(x) == y, and dq * x == 0 mod each source
-    factor d_p not dividing dq.  Unknown p's row is column p of g scaled
-    (`_scaled`), dq scaled in its own annihilation slot, then e_p.  It does
-    not depend on y, so every lift through g at order dq, and the kernel
+    factor d_p not dividing dq.  Unknown p's column is column p of g scaled
+    (`_scaled`), then dq scaled in its own annihilation slot.  It does not
+    depend on y, so every lift through g at order dq, and the kernel
     columns, read this one form.
 
     Cached by equality: retract chases and the suite's factorization checks
@@ -755,9 +756,8 @@ def _lift_form(g: ModuleMorphism, dq: int) -> HowellForm:
     src = g.source
     n = src.ring.modulus
     kept = [(p, n // d * dq) for p, d in enumerate(src.invariant_factors) if dq % d]
-    return howell_form([[*_scaled(g.target, col), *(a if pp == p else 0 for pp, a in kept),
-                         *(int(k == p) for k in range(src.rank))]
-                        for p, col in enumerate(g.columns)], n, g.target.rank + len(kept) + src.rank)
+    return graph_form([[*_scaled(g.target, col), *(a if pp == p else 0 for pp, a in kept)]
+                       for p, col in enumerate(g.columns)], n, g.target.rank + len(kept))
 
 
 def _lift_column(g: ModuleMorphism, dq: int, y: tuple[int, ...]) -> Optional[tuple[int, ...]]:

@@ -285,9 +285,9 @@ def _parse_object_inner(manifest: Manifest, kind: str, name: str,
         tgt = manifest.modules.get(fields["to"])
         if src is None or tgt is None:
             raise InputError("unknown module reference")
-        rows = _vectors(fields["rows"], lineno)
-        if tgt.rank == 0 or src.rank == 0:
-            rows = [() for _ in range(tgt.rank)]
+        # the serializer writes an empty matrix, rank 0 on a side, as ""
+        text = fields["rows"]
+        rows = _vectors(text, lineno) if text else [() for _ in range(tgt.rank)]
         try:
             f = ModuleMorphism(src, tgt, tuple(rows))
         except IllDefinedMorphismError as exc:
@@ -345,8 +345,8 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
         stripped = raw.strip()
         if stripped.startswith(("[filtration]", "[step ", "[stepreport ")):
             chain_lines.append((lineno, raw))
-        else:
-            object_lines.append(raw)
+            raw = ""  # a blank keeps every object line at its number
+        object_lines.append(raw)
     manifest = parse("\n".join(object_lines))
     target: Optional[RepA2] = None
     kappa: Optional[int] = None

@@ -1,7 +1,10 @@
 """Brute-force reference computations used by the verification suite and the
 test oracles.  Everything here proceeds by enumeration, determinant
 arithmetic or a second route to the same answer, and deliberately avoids
-the production algorithm it checks."""
+the production algorithm it checks.  The integer matrix type and its Z/n
+solver facade, which read the production graph form, live here too: the
+suite and the tests check them against enumeration, and no production
+module uses them."""
 
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from typing import Optional, Sequence
 
 from .approx import module_classes
 from .errors import InputError, InternalConsistencyError
-from .exact_linalg import IntMatrix, _xgcd, solve_mod
+from .exact_linalg import HowellForm, _xgcd, graph_form, graph_kernel, graph_solution
 from .finmod import (
     Diagram,
     DirectSum,
@@ -30,6 +33,90 @@ from .finmod import (
     subgroup_presentation,
 )
 from .ideals import ProjectiveFactorization, factors_through_projective, free_cover_epi
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    """Immutable integer matrix, entries stored row-major."""
+
+    rows: int
+    cols: int
+    entries: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise InputError("matrix dimensions must be nonnegative")
+        if len(self.entries) != self.rows * self.cols:
+            raise InputError(
+                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
+            )
+
+    @classmethod
+    def from_rows(cls, data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+        rows = len(data)
+        if rows == 0:
+            return cls(0, 0 if cols is None else cols, ())
+        width = len(data[0])
+        if any(len(r) != width for r in data):
+            raise InputError("ragged rows")
+        return cls(rows, width, tuple(int(x) for row in data for x in row))
+
+    @classmethod
+    def identity(cls, k: int) -> "IntMatrix":
+        return cls(k, k, tuple(1 if i == j else 0 for i in range(k) for j in range(k)))
+
+    def at(self, i: int, j: int) -> int:
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple[int, ...]:
+        return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    def column(self, j: int) -> tuple[int, ...]:
+        return self.entries[j::self.cols]
+
+    def to_rows(self) -> list[list[int]]:
+        return [list(self.row(i)) for i in range(self.rows)]
+
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if self.cols != other.rows:
+            raise InputError("matmul: dimension mismatch")
+        out = []
+        for i in range(self.rows):
+            ri = self.row(i)
+            for j in range(other.cols):
+                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
+        return IntMatrix(self.rows, other.cols, tuple(out))
+
+    def apply(self, vec: Sequence[int]) -> list[int]:
+        if len(vec) != self.cols:
+            raise InputError("apply: vector length mismatch")
+        return [sum(self.at(i, j) * vec[j] for j in range(self.cols)) for i in range(self.rows)]
+
+    def diagonal(self) -> tuple[int, ...]:
+        return self.entries[::self.cols + 1][:min(self.rows, self.cols)]
+
+
+def _graph_form_of(a: IntMatrix, n: int) -> HowellForm:
+    """The graph form of a over Z/n, read off its columns."""
+    return graph_form([a.column(j) for j in range(a.cols)], n, a.rows)
+
+
+def solve_mod(a: IntMatrix, b: Sequence[int], n: int) -> Optional[list[int]]:
+    """The lexicographically lowest x in [0, n)^cols with a @ x == b (mod n),
+    or None, read off the graph form of a."""
+    if len(b) != a.rows:
+        raise InputError("solve_mod: right-hand side length mismatch")
+    return graph_solution(_graph_form_of(a, n), b)
+
+
+def solution_space_mod(a: IntMatrix, n: int) -> list[list[int]]:
+    """Howell basis of the solution group {x in (Z/n)^cols : a @ x == 0
+    (mod n)}.  Each generator is re-verified to be annihilated by a."""
+    gens = graph_kernel(_graph_form_of(a, n), a.rows)
+    for g in gens:
+        if any(x % n for x in a.apply(g)):
+            raise InternalConsistencyError("kernel generator fails annihilation check")
+    return gens
 
 
 def determinant(a: IntMatrix) -> int:
@@ -230,25 +317,30 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 
 def _element_system(n: int, moduli: Sequence[int], columns: Sequence[Sequence[int]],
-                    rhs: Sequence[int]) -> tuple[IntMatrix, list[int]]:
+                    rhs: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     """The congruences sum_j x_j * columns[j][k] == rhs[k] (mod moduli[k]),
-    each modulus dividing n, as one system over Z/n: row k is scaled by
+    each modulus dividing n, as one system over Z/n in the columns that
+    `graph_form` reads: entry k of each column and of rhs is scaled by
     n / moduli[k].  Every solver route's congruence system goes through here."""
-    rows = []
-    b = []
-    for k, m in enumerate(moduli):
-        s = n // m
-        rows.append([s * col[k] for col in columns])
-        b.append(s * rhs[k])
-    return IntMatrix.from_rows(rows, cols=len(columns)), b
+    scales = [n // m for m in moduli]
+    return ([[s * x for s, x in zip(scales, col)] for col in columns],
+            [s * x for s, x in zip(scales, rhs)])
+
+
+def _solve_element_system(n: int, moduli: Sequence[int], columns: Sequence[Sequence[int]],
+                          rhs: Sequence[int]) -> Optional[list[int]]:
+    """The lexicographically lowest solution of `_element_system`, or None,
+    read off its graph form."""
+    cols, b = _element_system(n, moduli, columns, rhs)
+    return graph_solution(graph_form(cols, n, len(b)), b)
 
 
 def element_preimage(f: ModuleMorphism, y: Sequence[int]) -> Optional[tuple[int, ...]]:
     """The lexicographically lowest x with f(x) == y, or None, from one
-    `solve_mod` system."""
+    congruence system."""
     y = f.target.reduce(y)
     n = f.source.ring.modulus
-    sol = solve_mod(*_element_system(n, f.target.invariant_factors, f.columns, y), n)
+    sol = _solve_element_system(n, f.target.invariant_factors, f.columns, y)
     if sol is None:
         return None
     return f.source.reduce(sol)
@@ -269,7 +361,7 @@ def mediating_by_solver(po: Pushout, a: ModuleMorphism,
     rows_out = []
     for ci, ar, br in zip(c_mod.invariant_factors, a.matrix, b.matrix):
         rhs = ar + br + (0,) * x.rank
-        sol = solve_mod(*_element_system(n, [ci] * len(rhs), cols, rhs), n)
+        sol = _solve_element_system(n, [ci] * len(rhs), cols, rhs)
         if sol is None:
             return None
         rows_out.append(sol)
@@ -333,7 +425,7 @@ def is_direct_summand(sub: Submodule) -> Optional[ModuleMorphism]:
     rows_out = []
     for i, ki in enumerate(k.invariant_factors):
         rhs = [1 if l == i else 0 for l in range(k.rank)] + [0] * t
-        sol = solve_mod(*_element_system(n, [ki] * (k.rank + t), cols, rhs), n)
+        sol = _solve_element_system(n, [ki] * (k.rank + t), cols, rhs)
         if sol is None:
             return None
         rows_out.append(sol)

@@ -20,7 +20,6 @@ from . import oracles as _oracles
 from . import rep_a2 as _rep_a2
 from . import samplers as _s
 from .errors import InputError
-from .exact_linalg import IntMatrix, solution_space_mod, solve_mod
 from .finmod import (
     Diagram,
     FiniteModule,
@@ -119,10 +118,10 @@ class _Check:
 
 # --- exact_linalg -----------------------------------------------------------
 
-def _random_int_matrix(rng, max_dim=6, lo=-20, hi=20) -> IntMatrix:
+def _random_int_matrix(rng, max_dim=6, lo=-20, hi=20) -> _oracles.IntMatrix:
     r = rng.randrange(1, max_dim + 1)
     c = rng.randrange(1, max_dim + 1)
-    return IntMatrix.from_rows(
+    return _oracles.IntMatrix.from_rows(
         [[rng.randrange(lo, hi + 1) for _ in range(c)] for _ in range(r)])
 
 
@@ -144,7 +143,7 @@ def prop_solve_mod_exhaustive(chk, rng, ring):
     n = ring.modulus
     a = _random_int_matrix(rng, max_dim=4, lo=-8, hi=8)
     b = [rng.randrange(n) for _ in range(a.rows)]
-    got = solve_mod(a, b, n)
+    got = _oracles.solve_mod(a, b, n)
     brute = _oracles.exhaustive_solve_mod(a, b, n)
     chk.ensure(got == brute,
                f"solver gave {got}, lowest solution is {brute}, "
@@ -154,7 +153,7 @@ def prop_solve_mod_exhaustive(chk, rng, ring):
 def prop_solution_space_exhaustive(chk, rng, ring):
     n = ring.modulus
     a = _random_int_matrix(rng, max_dim=4, lo=-8, hi=8)
-    gens = solution_space_mod(a, n)
+    gens = _oracles.solution_space_mod(a, n)
     closure = _oracles.additive_closure_mod(gens, a.cols, n)
     chk.ensure(closure == _oracles.exhaustive_kernel_mod(a, n),
                f"kernel generators wrong for {a.entries} mod {n}")

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phantomcover.errors import InputError
-from phantomcover.exact_linalg import IntMatrix, solution_space_mod, solve_mod
 from phantomcover.oracles import (
+    IntMatrix,
     additive_closure_mod,
     determinant,
     exhaustive_kernel_mod,
@@ -16,6 +16,8 @@ from phantomcover.oracles import (
     integer_kernel_basis,
     minor_gcd_diagonal,
     smith_normal_form,
+    solution_space_mod,
+    solve_mod,
 )
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import elements, modules, modules_with_submodule, morphisms, rings, submodules
 from phantomcover import approx, finmod, ideals, oracles, rep_a2
 from phantomcover.errors import IllDefinedMorphismError, InputError, InternalConsistencyError
-from phantomcover.exact_linalg import IntMatrix, graph_form, solution_space_mod, solve_mod
+from phantomcover.exact_linalg import graph_form, graph_kernel, graph_solution
 from phantomcover.filtration import FiltrationConfig, build_filtration
 from phantomcover.finmod import (
     Diagram,
@@ -331,7 +331,7 @@ def _check_kernel(f):
     """The image of kernel(f)'s embedding against the integer kernel lattice of
     [f | diag(target factors)] and against enumeration."""
     src, tgt = f.source, f.target
-    wide = IntMatrix.from_rows(
+    wide = oracles.IntMatrix.from_rows(
         [list(row) + [e if i == l else 0 for l in range(tgt.rank)]
          for i, (row, e) in enumerate(zip(f.matrix, tgt.invariant_factors))],
         cols=src.rank + tgt.rank)
@@ -986,7 +986,8 @@ def _lift_by_one_system_per_column(g, psi):
     n = g.source.ring.modulus
     cols = []
     for q, d in enumerate(psi.source.invariant_factors):
-        sol = solve_mod(*_untrimmed_left_factor_system(g, d, psi.column(q)), n)
+        system, rhs = _untrimmed_left_factor_system(g, d, psi.column(q))
+        sol = graph_solution(graph_form(system, n, len(rhs)), rhs)
         if sol is None:
             return None
         cols.append(g.source.reduce(sol))
@@ -997,8 +998,9 @@ def _kernel_by_one_system_per_column(g, source):
     n = g.source.ring.modulus
     out = []
     for d in source.invariant_factors:
-        system, _ = _untrimmed_left_factor_system(g, d, (0,) * g.target.rank)
-        gens = (g.source.reduce(v) for v in solution_space_mod(system, n))
+        system, rhs = _untrimmed_left_factor_system(g, d, (0,) * g.target.rank)
+        basis = graph_kernel(graph_form(system, n, len(rhs)), len(rhs))
+        gens = (g.source.reduce(v) for v in basis)
         out.append([x for x in gens if any(x)])
     return out
 
@@ -1008,7 +1010,7 @@ def _kernel_by_one_system_per_column(g, source):
 @given(st.data())
 def test_lifts_from_the_cached_form_match_one_system_per_column(data):
     # the cached graph form of g at each order answers as one fresh
-    # solve_mod / solution_space_mod system per column did: for drawn maps
+    # untrimmed graph form per column did: for drawn maps
     # psi, and for every column of every order into g's target
     ring = data.draw(rings(moduli=(2, 3, 4, 6, 8, 9, 12, 16)))
     a, b, c = (data.draw(modules(ring, max_card=32, max_rank=3)) for _ in range(3))
@@ -1040,7 +1042,7 @@ def test_lift_form_drops_the_zero_annihilation_rows():
     assert finmod._lift_form(g, 8).width == 6
     assert finmod._lift_form(g, 4).width == 9
     system, rhs = oracles._element_system(8, g.target.invariant_factors, g.columns, (1, 1, 1))
-    assert finmod._lift_form(g, 8) == graph_form(system, 8) and rhs == [4, 2, 1]
+    assert finmod._lift_form(g, 8) == graph_form(system, 8, 3) and rhs == [4, 2, 1]
     assert solve_left_factor(g, g) == ModuleMorphism.identity(g.source)
     for order in (mod(z8, 8), mod(z8, 4, 8)):
         assert (left_factor_kernel_columns(g, order)
@@ -1062,7 +1064,7 @@ def _smith_factors(n, ncoords, relations):
     """The invariant factors other than 1 of Z^t / <relations, n * e_i>,
     off the integer Smith form of the oracle."""
     rels = [*relations, *([n if i == j else 0 for i in range(ncoords)] for j in range(ncoords))]
-    w = IntMatrix.from_rows([[rel[i] for rel in rels] for i in range(ncoords)],
+    w = oracles.IntMatrix.from_rows([[rel[i] for rel in rels] for i in range(ncoords)],
                             cols=len(rels))
     return tuple(d for d in smith_normal_form(w).diagonal() if d != 1)
 
@@ -1226,7 +1228,8 @@ def test_monomial_lattices_off_a_chain_fall_back_to_the_smith_form(diagonal):
 ])
 def test_quotient_structure_off_the_closed_form_is_the_smith_form(t, rels):
     # over the exponent of the quotient and over a multiple of it
-    w = IntMatrix.from_rows([[rel[i] for rel in rels] for i in range(t)], cols=len(rels))
+    w = oracles.IntMatrix.from_rows([[rel[i] for rel in rels] for i in range(t)],
+                                    cols=len(rels))
     exponent = smith_normal_form(w).diagonal()[-1]
     for n in (exponent, 2 * exponent):
         _checked_quotient_structure(n, t, rels)

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from conftest import modules, morphisms, rings
 from phantomcover.errors import InputError
-from phantomcover.exact_linalg import solve_mod
 from phantomcover.finmod import (
     Diagram,
     FiniteModule,
@@ -25,7 +24,7 @@ from phantomcover.ideals import (
     is_phantom,
     projective_identity_ideal,
 )
-from phantomcover.oracles import _element_system, exhaustive_homs, phantom_by_probes
+from phantomcover.oracles import _solve_element_system, exhaustive_homs, phantom_by_probes
 
 Z4 = Ring(4)
 
@@ -130,13 +129,13 @@ def test_ideal_membership_examples():
 
 
 def _hom_contains_by_solver(span, f):
-    """Membership by one solve_mod system over the span's matrices: the
+    """Membership by one congruence system over the span's matrices: the
     route `_hom_subgroup_contains` took before it read a Howell form."""
     n = f.source.ring.modulus
     moduli = [ei for ei in f.target.invariant_factors for _ in range(f.source.rank)]
     cols = [[x for row in g.matrix for x in row] for g in span]
     rhs = [x for row in f.matrix for x in row]
-    return solve_mod(*_element_system(n, moduli, cols, rhs), n) is not None
+    return _solve_element_system(n, moduli, cols, rhs) is not None
 
 
 @seed(20261020)

@@ -86,15 +86,16 @@ def test_raising_sample_is_recorded_and_the_rest_still_run(monkeypatch):
 
 PRODUCTION = ("exact_linalg", "finmod", "ideals", "approx", "rep_a2", "filtration",
               "manifest", "cli")
-CROSS_CHECK_ROUTES = {"solve_mod", "solution_space_mod", "determinant", "element_preimage",
-                      "multiplication_map", "is_direct_summand", "mediating_by_solver",
-                      "colimit_by_gluing", "smith_normal_form", "SmithDecomposition"}
+CROSS_CHECK_ROUTES = {"IntMatrix", "solve_mod", "solution_space_mod", "determinant",
+                      "element_preimage", "multiplication_map", "is_direct_summand",
+                      "mediating_by_solver", "colimit_by_gluing", "smith_normal_form",
+                      "SmithDecomposition"}
 
 
 def test_production_modules_name_no_cross_check_route():
     # the solvers stay public for the suite and the tests, and the second
-    # routes live in oracles.py; no production module imports, calls or
-    # otherwise names any of them
+    # routes live in oracles.py; no production module defines, imports,
+    # calls or otherwise names any of them
     package = Path(phantomcover.__file__).parent
     for module in PRODUCTION:
         tree = ast.parse((package / f"{module}.py").read_text())
@@ -102,6 +103,8 @@ def test_production_modules_name_no_cross_check_route():
         named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for alias in node.names}
+        named |= {node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert not named & CROSS_CHECK_ROUTES, module
 
 
