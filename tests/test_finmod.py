@@ -1065,7 +1065,7 @@ def _smith_factors(n, ncoords, relations):
     off the integer Smith form of the oracle."""
     rels = [*relations, *([n if i == j else 0 for i in range(ncoords)] for j in range(ncoords))]
     w = oracles.IntMatrix.from_rows([[rel[i] for rel in rels] for i in range(ncoords)],
-                            cols=len(rels))
+                                    cols=len(rels))
     return tuple(d for d in smith_normal_form(w).diagonal() if d != 1)
 
 
