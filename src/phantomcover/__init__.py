@@ -2,7 +2,6 @@
 covers and precovers, arrow-category representations, and filtrations."""
 
 from .errors import (
-    BudgetExceededError,
     IllDefinedMorphismError,
     InputError,
     InternalConsistencyError,

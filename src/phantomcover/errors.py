@@ -30,14 +30,3 @@ class IllDefinedMorphismError(InputError):
 
 class InternalConsistencyError(PhantomcoverError, RuntimeError):
     """A mathematically guaranteed condition failed; the build is defective."""
-
-
-class BudgetExceededError(PhantomcoverError, RuntimeError):
-    """A purification step outgrew its declared size budget.
-
-    Carries the partial result so callers can report it.
-    """
-
-    def __init__(self, message, partial=None):
-        self.partial = partial
-        super().__init__(message)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import BudgetExceededError, InputError, InternalConsistencyError
+from .errors import InputError, InternalConsistencyError
 from .finmod import PurityForms, QuotientData, Submodule, impurity, pure_closure_counted
 from .ideals import MorphismIdeal
 from .rep_a2 import (
@@ -63,8 +63,10 @@ def pure_subrep_containing(rep: RepA2, x1_seeds: Sequence[Sequence[int]],
     first component, close the second under the image of the first, purify.
 
     Every growth event multiplies the worst-case size by at most n, so the
-    components obey |S_c| <= kappa * n^events; exceeding that is reported as
-    a budget violation carrying the partial subrepresentation.
+    components obey |S_c| <= kappa * n^events: a component generated by g
+    seeds and w witnesses has at most n^(g+w) elements, and kappa >= n
+    (`FiltrationConfig.check`) makes the bound at least that, or 1 when
+    g + w = 0.  Exceeding it is an InternalConsistencyError.
     """
     cfg.check(rep)
     n = rep.ring.modulus
@@ -77,12 +79,12 @@ def pure_subrep_containing(rep: RepA2, x1_seeds: Sequence[Sequence[int]],
     events2 = _events(len(t_gens), w2)
     bound1 = cfg.kappa * n ** events1
     bound2 = cfg.kappa * n ** events2
-    sub = SubRep(rep, s1, s2)
     if s1.cardinality > bound1 or s2.cardinality > bound2:
-        raise BudgetExceededError(
+        raise InternalConsistencyError(
             f"purified components of sizes {s1.cardinality}, {s2.cardinality} "
-            f"exceed bounds {bound1}, {bound2}", partial=sub)
-    return PurificationResult(sub, w1 + w2, events1, events2, bound1, bound2)
+            f"exceed bounds {bound1}, {bound2}")
+    return PurificationResult(SubRep(rep, s1, s2), w1 + w2, events1, events2,
+                              bound1, bound2)
 
 
 def phantom_pure_subrep(rep: RepA2, x1_seeds: Sequence[Sequence[int]],
@@ -306,8 +308,7 @@ def _impurity_detail(step: SubRep, index: int) -> str:
     raise InternalConsistencyError("impure step with pure components")
 
 
-def verify_filtration(filtration: Filtration,
-                      cfg: Optional[FiltrationConfig] = None) -> FiltrationReport:
+def verify_filtration(filtration: Filtration, cfg: FiltrationConfig) -> FiltrationReport:
     """Independently re-check every filtration condition: zero base, purity of
     every step, chain containment with the union reaching the target, phantom
     quotient steps, the surfaced size bounds, and strict growth below the top.
@@ -317,12 +318,12 @@ def verify_filtration(filtration: Filtration,
     reduction.  Each slice S_(i+1)/S_i is decided once, and only when the
     chain is contained: its sizes are quotients of the steps' Howell
     cardinalities, and the phantom check and the size check both read it.
-    A slice element of order n is tested against T_(i+1)'s own Howell
-    form, any other order d against a form built for it.  A non-phantom
+    A slice element of order n is tested against T_(i+1) itself, any other
+    order d against the span joined for it.  A non-phantom
     slice names the order d and the element g of S_(i+1) whose image lies
     outside (n/d) * T_(i+1) + T_i.  The size check fails when a report
-    records other quotient sizes, a bound below them, or (given the config)
-    a bound that is not kappa * n^e.
+    records other quotient sizes, a bound below them, or a bound that is not
+    kappa * n^e; a step with no report is held to kappa.
 
     Purity is walked up the chain, and each step carries the purity forms
     the walk computed for the step below it, never forms the builder left.
@@ -376,24 +377,17 @@ def verify_filtration(filtration: Filtration,
         n = filtration.target.ring.modulus
         for i, (c1, c2, _) in enumerate(slices):
             report = filtration.reports[i] if i < len(filtration.reports) else None
-            if report is not None:
-                b1, b2 = report.bound_m1, report.bound_m2
-            elif cfg is not None:
-                b1 = b2 = cfg.kappa
-            else:
-                b1 = b2 = None
-            line = f"step {i}: |q1|={c1} |q2|={c2}"
-            if b1 is not None:
-                line += f" bounds {b1},{b2}"
-                if c1 > b1 or c2 > b2:
-                    sizes_ok = False
+            b1, b2 = ((cfg.kappa, cfg.kappa) if report is None
+                      else (report.bound_m1, report.bound_m2))
+            line = f"step {i}: |q1|={c1} |q2|={c2} bounds {b1},{b2}"
+            if c1 > b1 or c2 > b2:
+                sizes_ok = False
             if report is not None:
                 recorded = (report.quotient_card_m1, report.quotient_card_m2)
                 if recorded != (c1, c2):
                     sizes_ok = False
                     line += f" recorded q1={recorded[0]} q2={recorded[1]}"
-                if cfg is not None and not (_is_budget(b1, cfg.kappa, n)
-                                            and _is_budget(b2, cfg.kappa, n)):
+                if not (_is_budget(b1, cfg.kappa, n) and _is_budget(b2, cfg.kappa, n)):
                     sizes_ok = False
                     line += " bounds not of the form kappa*n^e"
             size_detail.append(line)

@@ -1029,14 +1029,16 @@ def purity_forms(sub: Submodule, below: Optional[PurityForms] = None) -> PurityF
     from sizes as `is_pure_submodule` describes, with the forms it read.
 
     Both forms at d are linear images of S, of the rows
-    v -> (d_i / gcd(d, d_i)) v_i and v -> d v of any generating set.  So
-    when `below` holds the forms at d of a submodule whose generators are a
-    prefix of S's, each form of S is below's with the images of S's other
-    generators inserted (`howell_insert`).  Any other d, and any other
-    `below`, builds its forms from S's Howell rows.  A chain walk hands
-    each step the forms of the step below and keeps no others.  Where the
-    image has S's size, S meets d*M in zero, so d*S is zero: its form is
-    known without building one."""
+    v -> (d_i / gcd(d, d_i)) v_i and v -> d v of any generating set, and
+    each is built by inserting such rows into a base form (`howell_insert`).
+    When `below` holds the forms at d of a submodule whose generators are a
+    prefix of S's, the base is below's forms and the rows are the images of
+    S's other generators; at any other d, and for any other `below`, the
+    base is the zero form, where `howell_form` starts, and the rows are the
+    images of S's Howell rows.  A chain walk hands each step the forms of
+    the step below and keeps no others.  Where the image has S's size, S
+    meets d*M in zero, so d*S is zero: its form is known without building
+    one."""
     amb = sub.ambient
     n = amb.ring.modulus
     t = amb.rank
@@ -1050,21 +1052,17 @@ def purity_forms(sub: Submodule, below: Optional[PurityForms] = None) -> PurityF
         if sub.generators[:len(prefix)] == prefix:
             added = [_scaled(amb, g) for g in sub.generators[len(prefix):]]
     card = hs.cardinality
+    zero = HowellForm(n, t, (), ())
     forms: dict[int, tuple[HowellForm, HowellForm]] = {}
     for d in _proper_prime_powers(n):
         kill = [dd // gcd(d, dd) for dd in factors]
         prior = None if added is None else below.forms.get(d)
-        if prior is None:
-            image = howell_form([[k * x for k, x in zip(kill, row)] for row in hs.rows], n, t)
-        else:
-            image = howell_insert(prior[0], [[k * x for k, x in zip(kill, row)]
-                                             for row in added])
+        base, rows = ((zero, zero), hs.rows) if prior is None else (prior, added)
+        image = howell_insert(base[0], [[k * x for k, x in zip(kill, row)] for row in rows])
         if image.cardinality == card:
-            dsub = HowellForm(n, t, (), ())
-        elif prior is None:
-            dsub = howell_form([[d * x for x in row] for row in hs.rows], n, t)
+            dsub = zero
         else:
-            dsub = howell_insert(prior[1], [[d * x for x in row] for row in added])
+            dsub = howell_insert(base[1], [[d * x for x in row] for row in rows])
         forms[d] = (image, dsub)
         if image.cardinality * dsub.cardinality != card:
             return PurityForms(sub, forms, d)

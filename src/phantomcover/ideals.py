@@ -16,15 +16,14 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .exact_linalg import howell_form
 from .finmod import (
     Colimit,
     Diagram,
     FiniteModule,
     ModuleMorphism,
     Ring,
+    Submodule,
     _colimit_at_top,
-    _scaled,
     colimit_mediating,
     compose,
     hom_group,
@@ -160,16 +159,18 @@ def ideal_membership(ideal: MorphismIdeal, f: ModuleMorphism) -> bool:
 
 def _hom_subgroup_contains(span: list[ModuleMorphism], f: ModuleMorphism) -> bool:
     """Is f in the subgroup of Hom(source, target) generated by span?  Hom
-    embeds in (Z/n)^(source rank * target rank), a morphism going to its
-    columns in the scaled coordinates of `_scaled`, so f is in the subgroup
-    exactly when the Howell form of the span's images contains its image."""
+    embeds in the sum of rank(source) copies of each target factor e_i, in
+    order, so the factors still form a chain, a morphism going to its
+    entries row by row; f is in the subgroup exactly when the `Submodule`
+    the span's images generate contains its image."""
     tgt = f.target
+    hom = FiniteModule(tgt.ring, tuple(e for e in tgt.invariant_factors
+                                       for _ in range(f.source.rank)))
 
-    def flat(g: ModuleMorphism) -> list[int]:
-        return [x for col in g.columns for x in _scaled(tgt, col)]
+    def flat(g: ModuleMorphism) -> tuple[int, ...]:
+        return tuple(x for row in zip(*g.columns) for x in row)
 
-    return howell_form([flat(g) for g in span], tgt.ring.modulus,
-                       tgt.rank * f.source.rank).contains(flat(f))
+    return Submodule(hom, tuple(flat(g) for g in span)).contains(flat(f))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .errors import IllDefinedMorphismError, InputError
 from .filtration import Filtration, FiltrationConfig, StepReport
-from .finmod import FiniteModule, ModuleMorphism, Ring, Submodule
+from .finmod import FiniteModule, ModuleMorphism, Ring
 from .rep_a2 import RepA2, RepMorphism, SubRep
 
 FORMAT_VERSION = 1
@@ -334,10 +334,10 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
     """Parse a filtration file: the manifest objects, then the chain records.
 
     Each [step i] is checked to be a subrepresentation of the target as it
-    is read: through `SubRep.extending` against step i-1 when that record
-    came earlier, so a step that re-lists the generators of the one below
-    it reduces, inserts into the Howell bases and applies f to only the
-    generators it adds, and through the full `SubRep` check otherwise.
+    is read, through `SubRep.extending` against step i-1 when that record
+    came earlier and against the zero subrepresentation otherwise.  So a
+    step that re-lists the generators of the one below it reduces, inserts
+    into the Howell bases and applies f to only the generators it adds.
     Errors carry the line."""
     object_lines = []
     chain_lines = []
@@ -375,13 +375,10 @@ def parse_filtration(text: str) -> tuple[Manifest, Filtration, FiltrationConfig]
             idx = _int(name, "step index", lineno)
             if idx in steps:
                 raise InputError(f"line {lineno}: duplicate [step {idx}] record")
-            prev = steps.get(idx - 1)
+            prev = steps.get(idx - 1) or SubRep.zero(target)
             try:
-                gens1 = _vectors(fields["s1"], lineno)
-                gens2 = _vectors(fields["s2"], lineno)
-                steps[idx] = (SubRep(target, Submodule(target.m1, tuple(gens1)),
-                                     Submodule(target.m2, tuple(gens2)))
-                              if prev is None else SubRep.extending(prev, gens1, gens2))
+                steps[idx] = SubRep.extending(prev, _vectors(fields["s1"], lineno),
+                                              _vectors(fields["s2"], lineno))
             except InputError as exc:
                 raise _at_line(exc, lineno) from None
         elif kind == "stepreport":

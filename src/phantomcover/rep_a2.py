@@ -10,7 +10,6 @@ from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalConsistencyError
-from .exact_linalg import howell_form
 from .finmod import (
     Diagram,
     FiniteModule,
@@ -20,7 +19,6 @@ from .finmod import (
     Ring,
     Submodule,
     _colimit_at_top,
-    _scaled,
     colimit_mediating,
     compose,
     direct_sum,
@@ -199,10 +197,10 @@ def slice_phantom_witness(lower: SubRep,
     `slice_generators(S, S')` with f(g) outside (n/d) * T' + T, for S, T the
     components of lower and S', T' those of upper; None when it is phantom.
     `is_phantom`'s column test holds for any cyclic decomposition of S'/S,
-    and (n/d) * (T'/T) is ((n/d) * T' + T) / T: one Howell form per d.
-    For d = n that span is T' itself, as T <= T' is checked first
-    (`contains_submodule`), and the reduced Howell basis is unique for its
-    span, so the test reads the form T' already holds and builds none.
+    and (n/d) * (T'/T) is ((n/d) * T' + T) / T: one `Submodule` per d, T
+    joined with (n/d) times the generators of T'.  For d = n that span is
+    T' itself, as T <= T' is checked first (`contains_submodule`), so the
+    test asks T' and builds none.
 
     When S's generator tuple is a prefix of S''s and S' adds at most one
     generator g, S'/S is cyclic, generated by the class of g, of order
@@ -219,14 +217,12 @@ def slice_phantom_witness(lower: SubRep,
     n = rep.ring.modulus
     if not upper.s2.contains_submodule(lower.s2):
         raise InternalConsistencyError("slice: lower second component is not in the upper one")
-    top = upper.s2.howell
-    forms = {n: top}
+    spans = {n: upper.s2}
 
     def outside(d: int, g: tuple[int, ...]) -> bool:
-        if d not in forms:
-            forms[d] = howell_form([[n // d * x for x in row] for row in top.rows]
-                                   + list(lower.s2.howell.rows), n, rep.m2.rank)
-        return not forms[d].contains(_scaled(rep.m2, rep.f.apply(g)))
+        if d not in spans:
+            spans[d] = lower.s2.join(rep.m2.smul(n // d, h) for h in upper.s2.generators)
+        return not spans[d].contains(rep.f.apply(g))
 
     below, gens = lower.s1.generators, upper.s1.generators
     cyclic = len(gens) <= len(below) + 1 and gens[:len(below)] == below

@@ -9,7 +9,6 @@ serialized counterexample manifest.  All sampling is deterministic in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Callable, Optional
 
 from . import approx as _approx

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from phantomcover import cli, exact_linalg, oracles
+from phantomcover import cli, exact_linalg, ideals, oracles
 from phantomcover.cli import main
 from phantomcover.errors import IllDefinedMorphismError, InputError, InternalConsistencyError
 from phantomcover.finmod import FiniteModule, ModuleMorphism, Ring
@@ -62,6 +62,28 @@ def test_check_phantom_true_writes_factorization(demo, capsys, tmp_path):
     assert code == 0 and "phantom=true" in out
     text = outfile.read_text(encoding="utf-8")
     assert "[morphism into]" in text and "[morphism through]" in text
+
+
+def test_check_phantom_decides_before_any_lift(demo, capsys, monkeypatch):
+    # the verdict is is_phantom's; only a phantom morphism's certificate
+    # solves for a lift through the free cover
+    calls = []
+    real = ideals.solve_left_factor
+    monkeypatch.setattr(ideals, "solve_left_factor",
+                        lambda *args: calls.append(args) or real(*args))
+    code, out = run(["check-phantom", "--input", demo, "--morphism", "ident2"], capsys)
+    assert code == 0 and "phantom=false" in out
+    assert calls == []
+    code, out = run(["check-phantom", "--input", demo, "--morphism", "covermap"], capsys)
+    assert code == 0 and "phantom=true" in out
+    assert len(calls) == 1
+
+
+def test_check_phantom_without_a_lift_is_internal(demo, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "factors_through_projective", lambda f: None)
+    code = main(["check-phantom", "--input", demo, "--morphism", "covermap"])
+    assert code == 3
+    assert "error=internal-consistency" in capsys.readouterr().err
 
 
 def test_precover_and_cover(demo, capsys):

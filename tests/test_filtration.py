@@ -5,9 +5,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import phantom_morphisms, rings
-from phantomcover import filtration, manifest, rep_a2
+from phantomcover import cli, filtration, manifest, rep_a2
 from phantomcover.exact_linalg import howell_form
-from phantomcover.errors import InputError
+from phantomcover.errors import InputError, InternalConsistencyError
 from phantomcover.filtration import (
     Filtration,
     FiltrationConfig,
@@ -96,6 +96,23 @@ def test_pure_subrep_containing_purifies_image():
     assert is_pure_subrep(res.subrep)
 
 
+def test_purification_budget_overrun_is_internal(monkeypatch, tmp_path, capsys):
+    # a component generated by g seeds and w witnesses has at most n^(g+w)
+    # elements, within kappa * n^(g+w-1) as kappa >= n: an overrun is a
+    # defect, shown here by a closure that returns the whole component
+    monkeypatch.setattr(filtration, "pure_closure_counted",
+                        lambda sub: (Submodule.full(sub.ambient), 0))
+    with pytest.raises(InternalConsistencyError):
+        pure_subrep_containing(doubling_rep(3), [(1, 0, 0)], [], CFG)
+    # step 0 of this sample adjoins two witnesses, so it purifies
+    path = tmp_path / "rep.txt"
+    assert cli.main(["random-rep", "--ring", "8", "--seed", "11",
+                     "--output", str(path)]) == 0
+    assert cli.main(["filtrate", "--input", str(path), "--rep", "sampled",
+                     "--kappa", "8"]) == 3
+    assert "error=internal-consistency" in capsys.readouterr().err
+
+
 def test_phantom_pure_subrep_trivial_cases():
     rep = doubling_rep(2)
     res = phantom_pure_subrep(rep, [], [], CFG)
@@ -128,15 +145,16 @@ def test_phantom_pure_subrep_rejects_nonphantom():
 
 def test_build_filtration_small_is_single_step():
     rep = doubling_rep(1)  # cardinality 8
-    filt = build_filtration(rep, FiltrationConfig(kappa=8))
+    cfg = FiltrationConfig(kappa=8)
+    filt = build_filtration(rep, cfg)
     assert filt.length == 1
-    assert verify_filtration(filt).ok
+    assert verify_filtration(filt, cfg).ok
 
 
 def test_build_filtration_zero_rep():
     filt = build_filtration(RepA2.zero(Z4), CFG)
     assert filt.length == 0
-    assert verify_filtration(filt).ok
+    assert verify_filtration(filt, CFG).ok
 
 
 def test_build_filtration_three_copies():
@@ -347,13 +365,14 @@ def test_build_filtration_ambient_steps_match_quotient_route(monkeypatch):
 
 def test_verify_filtration_ladder_builds_no_slice_form(monkeypatch):
     # every ladder slice generator has order n, so each slice is tested
-    # against the upper step's own Howell form: no form is built for it
+    # against the upper step's own second component: no span is joined
+    # for it
     cfg = FiltrationConfig(kappa=8)
     filt = build_filtration(_ladder(8), cfg)
     orders = [d for low, up in zip(filt.steps, filt.steps[1:])
               for d, _ in slice_generators(low.s1, up.s1)]
     assert orders == [8] * 8
-    built = _record_calls(monkeypatch, "howell_form", rep_a2)
+    built = _record_calls(monkeypatch, "join", Submodule)
     assert verify_filtration(filt, cfg).ok
     assert built == []
 

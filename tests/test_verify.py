@@ -92,6 +92,15 @@ CROSS_CHECK_ROUTES = {"IntMatrix", "solve_mod", "solution_space_mod", "determina
                       "SmithDecomposition"}
 
 
+def _names(tree: ast.AST) -> set[str]:
+    """Every name a module's tree reads, imports or reaches as an attribute."""
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    return named
+
+
 def test_production_modules_name_no_cross_check_route():
     # the solvers stay public for the suite and the tests, and the second
     # routes live in oracles.py; no production module defines, imports,
@@ -99,13 +108,45 @@ def test_production_modules_name_no_cross_check_route():
     package = Path(phantomcover.__file__).parent
     for module in PRODUCTION:
         tree = ast.parse((package / f"{module}.py").read_text())
-        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                  for alias in node.names}
+        named = _names(tree)
         named |= {node.name for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert not named & CROSS_CHECK_ROUTES, module
+
+
+def test_subgroup_forms_are_owned_by_finmod():
+    # subgroups are built as finmod.Submodule: no other production module
+    # imports the Howell routines or names the scaled coordinates
+    package = Path(phantomcover.__file__).parent
+    for module in PRODUCTION:
+        if module == "finmod":
+            continue
+        tree = ast.parse((package / f"{module}.py").read_text())
+        sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        # `import phantomcover.exact_linalg` and `from . import exact_linalg`
+        sources |= {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module is None
+                    for alias in node.names}
+        assert not {"exact_linalg", "phantomcover.exact_linalg"} & sources, module
+        assert not {"_scaled", "_unscaled"} & _names(tree), module
+
+
+def test_modules_import_no_unused_name():
+    # __init__.py imports to re-export; every other module uses each name it
+    # imports (from __future__ imports excepted)
+    for path in sorted(Path(phantomcover.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {alias.asname or alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                     for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
 
 
 def test_suite_builds_no_congruence_system():
