@@ -329,9 +329,9 @@ def verify_filtration(filtration: Filtration, cfg: FiltrationConfig) -> Filtrati
     the walk computed for the step below it, never forms the builder left.
     A step that extends the step below by prefix builds its forms by
     inserting its new generators into those (`subrep_purity`).  Any other
-    step builds its forms from scratch, and so does a step above one that
-    passed the summand certificate and built none.  The walk stops at the
-    first impure step, whose detail is the from-scratch `impurity`.
+    step inserts its Howell rows into the zero form, as does a step above
+    one that passed the summand certificate.  The walk stops at the first
+    impure step, whose detail is the from-scratch `impurity`.
     """
     steps = filtration.steps
     conditions: dict[str, ConditionReport] = {}
